@@ -11,6 +11,17 @@ Conventions shared by everything below:
 * complex square roots are principal (Re sqrt > 0 whenever Re of the
   argument is > 0), which is forced here since Re z > 0.
 
+The theta sums are evaluated in two ways, each by one kernel:
+
+* direct summation (the four ``*_direct`` and ``*_direct_arc`` evaluators)
+  runs through ``_lattice_sum``, one term-by-term loop for both sum types;
+* the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
+  factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
+  transformed evaluators sum it over nu; the circle-method nu-decomposition
+  (``circle.i_nu_contributions``) multiplies it across the four coordinates.
+  Off J its nu = 0 entry is the principal-value window sum
+  ``_window_entry``.
+
 Three routes to the principal-value integral are provided:
 
 * ``pv_integral``         -- the split form: residue term + a smooth middle
@@ -153,49 +164,51 @@ def _unit_phase(num: int, den: int) -> complex:
 # direct summation of the defining series
 # ---------------------------------------------------------------------------
 
-def theta_eval_direct(r: int, M: int, scale: int, tau: complex,
-                      tol: float = 1e-15) -> complex:
-    """Two-sided theta sum (exponents nu^2/(2M), class nu = r mod M) at
-    argument scale * tau, by direct summation with a certified Gaussian tail."""
-    y = (scale * tau).imag
-    if y <= 0:
-        raise ValueError(f"need Im(scale*tau) > 0, got {scale * tau}")
+def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z: complex,
+                 signed: bool, tol: float) -> complex:
+    """Sum over nu = r mod M of sgn(nu)^signed e(scale nu^2 h/(2 M k))
+    exp(-2 pi scale nu^2 z/(2 M k)), i.e. the exponents nu^2/(2M) at
+    tau = (h + i z)/k with the rational part of every phase reduced exactly.
+
+    Summed one term at a time, outward from the class representative in both
+    directions, until the Gaussian damping falls below tol past |nu| = M.
+    The sign-weighted sums of the classes r and -r cancel term by term in
+    this order; a reordered (pairwise) summation loses that to roundoff.
+    """
     r %= M
+    den = 2 * M * k
     total = 0.0 + 0.0j
     for start, step in ((r, M), (r - M, -M)):
         nu = start
         while True:
-            term = cmath.exp(2j * cmath.pi * scale * tau * nu * nu / (2 * M))
-            total += term
-            if abs(term) < tol and abs(nu) > M:
+            damp = cmath.exp(-2 * cmath.pi * scale * nu * nu * z / den)
+            if nu or not signed:
+                term = _unit_phase(scale * nu * nu * h, den) * damp
+                total += -term if signed and nu < 0 else term
+            if abs(damp) < tol and abs(nu) > M:
                 break
             nu += step
             if abs(nu) > 10**7:
-                raise QuadratureError("theta tail failed to decay")
+                raise QuadratureError("lattice-sum tail failed to decay")
     return total
+
+
+def theta_eval_direct(r: int, M: int, scale: int, tau: complex,
+                      tol: float = 1e-15) -> complex:
+    """Two-sided theta sum (exponents nu^2/(2M), class nu = r mod M) at
+    argument scale * tau, by direct summation with a certified Gaussian tail."""
+    if (scale * tau).imag <= 0:
+        raise ValueError(f"need Im(scale*tau) > 0, got {scale * tau}")
+    return _lattice_sum(r, M, scale, 0, 1, -1j * tau, False, tol)
 
 
 def false_theta_eval_direct(r: int, M: int, scale: int, tau: complex,
                             tol: float = 1e-15) -> complex:
     """Sign-weighted theta sum (exponents nu^2/(4M), class nu = r mod 2M) at
     argument scale * tau, by direct summation."""
-    y = (scale * tau).imag
-    if y <= 0:
+    if (scale * tau).imag <= 0:
         raise ValueError(f"need Im(scale*tau) > 0, got {scale * tau}")
-    r %= 2 * M
-    total = 0.0 + 0.0j
-    for start, step in ((r, 2 * M), (r - 2 * M, -2 * M)):
-        nu = start
-        while True:
-            term = cmath.exp(2j * cmath.pi * scale * tau * nu * nu / (4 * M))
-            if nu:
-                total += term if nu > 0 else -term
-            if abs(term) < tol and abs(nu) > 2 * M:
-                break
-            nu += step
-            if abs(nu) > 10**7:
-                raise QuadratureError("false theta tail failed to decay")
-    return total
+    return _lattice_sum(r, 2 * M, scale, 0, 1, -1j * tau, True, tol)
 
 
 def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
@@ -204,20 +217,7 @@ def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
     part of every phase reduced exactly in integer arithmetic."""
     if z.real <= 0:
         raise ValueError(f"need Re z > 0, got z={z}")
-    r %= M
-    den = 2 * M * k
-    total = 0.0 + 0.0j
-    for start, step in ((r, M), (r - M, -M)):
-        nu = start
-        while True:
-            damp = cmath.exp(-2 * cmath.pi * scale * nu * nu * z / den)
-            total += _unit_phase(scale * nu * nu * h, den) * damp
-            if abs(damp) < tol and abs(nu) > M:
-                break
-            nu += step
-            if abs(nu) > 10**7:
-                raise QuadratureError("theta tail failed to decay")
-    return total
+    return _lattice_sum(r, M, scale, h, k, z, False, tol)
 
 
 def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
@@ -226,43 +226,60 @@ def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
     phase reduction."""
     if z.real <= 0:
         raise ValueError(f"need Re z > 0, got z={z}")
-    r %= 2 * M
-    den = 4 * M * k
-    total = 0.0 + 0.0j
-    for start, step in ((r, 2 * M), (r - 2 * M, -2 * M)):
-        nu = start
-        while True:
-            damp = cmath.exp(-2 * cmath.pi * scale * nu * nu * z / den)
-            if nu:
-                term = _unit_phase(scale * nu * nu * h, den) * damp
-                total += term if nu > 0 else -term
-            if abs(damp) < tol and abs(nu) > 2 * M:
-                break
-            nu += step
-            if abs(nu) > 10**7:
-                raise QuadratureError("false theta tail failed to decay")
-    return total
+    return _lattice_sum(r, 2 * M, scale, h, k, z, True, tol)
 
 
 # ---------------------------------------------------------------------------
 # transformed evaluation (Gauss-sum expansions valid near the cusp h/k)
 # ---------------------------------------------------------------------------
 
-def _theta_nu_terms(M: int, alpha_j: int, k: int, z: complex, tol: float):
-    """Yield nu and exp(-pi nu^2/(4 M k alpha_j z)) until the envelope dies."""
-    w = cmath.pi / (4 * M * k * alpha_j * z)
-    decay = w.real  # envelope exp(-decay * nu^2)
+def _gauss_terms(r: int, M: int, alpha_j: int, h: int, k: int,
+                 d: np.ndarray) -> np.ndarray:
+    """T(d) = e(r d/(2 M k)) G(2 M alpha_j h, 2 r alpha_j h + d; k) for an
+    integer array d, with the phase reduced exactly in integers."""
+    gtab = gauss_sum_table((2 * M * alpha_j * h) % k, k)
+    b0 = 2 * r * alpha_j * h
+    den = 2 * M * k
+    return np.exp((2j * np.pi / den) * ((r * d) % den)) * gtab[(b0 + d) % k]
+
+
+def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
+                  in_J: bool, nu_max: int) -> np.ndarray:
+    """F(nu) = g(nu) [T(nu) + T(-nu)] on J and g(nu) [T(nu) - T(-nu)] off J,
+    with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max.
+
+    One coordinate of the expanded arc integrand: the transformed evaluators
+    sum it over nu (halving nu = 0), and the nu-decomposition multiplies it
+    across coordinates.  Off J the nu = 0 entry is ``_window_entry`` instead.
+    """
+    nus = np.arange(nu_max + 1)
+    t = _gauss_terms(r, M, alpha_j, h, k, np.arange(-nu_max, nu_max + 1))
+    plus, minus = t[nu_max:], t[nu_max::-1]
+    g = np.exp((-np.pi / (4 * M * k * alpha_j * z)) * (nus * nus))
+    return g * (plus + minus if in_J else plus - minus)
+
+
+def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
+                  nu_terms: int) -> complex:
+    """The off-J nu = 0 entry of the factor: 2 (i/pi) sum_l T(l) S_l over
+    the window l in [1-Mk, -1] u [1, Mk], where S_l is the nu-sum of
+    principal-value integrals (the factor 2 is the eps-sum at nu = 0)."""
+    window = lattice_window(M * k)
+    sums = nu_sum_batch(window, M, alpha_j, k, z, terms=nu_terms)
+    terms = _gauss_terms(r, M, alpha_j, h, k, np.array(window))
+    return complex(2j / np.pi * (terms * sums).sum())
+
+
+def _nu_cutoff(M: int, alpha_j: int, k: int, z: complex, tol: float) -> int:
+    """The first nu > 8 at which the envelope
+    |g(nu)| = exp(-Re(pi/(4 M k alpha_j z)) nu^2) is below tol."""
+    decay = (cmath.pi / (4 * M * k * alpha_j * z)).real
     if decay <= 0:
         raise QuadratureError("Gaussian envelope does not decay (Re z <= 0?)")
-    nu = 0
-    while True:
-        g = cmath.exp(-w * nu * nu)
-        yield nu, g
-        if abs(g) < tol and nu > 8:
-            return
-        nu += 1
-        if nu > 10**7:
-            raise QuadratureError("nu-sum truncation failure")
+    nu_max = max(9, math.isqrt(int(max(math.log(1 / tol), 0.0) / decay)) + 1)
+    if nu_max > 10**7:
+        raise QuadratureError("nu-sum truncation failure")
+    return nu_max
 
 
 def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
@@ -275,16 +292,11 @@ def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
     """
     if math.gcd(h, k) != 1:
         raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
-    gtab = gauss_sum_table((2 * M * alpha_j * h) % k, k)
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
         2 * cmath.sqrt(M * k * alpha_j * z))
-    b0 = 2 * r * alpha_j * h
-    total = 0.0 + 0.0j
-    for nu, g in _theta_nu_terms(M, alpha_j, k, z, tol):
-        for s in ((1,) if nu == 0 else (1, -1)):
-            v = s * nu
-            total += g * _unit_phase(r * v, 2 * M * k) * gtab[(b0 + v) % k]
-    return pref * total
+    f = _gauss_factor(r, M, alpha_j, h, k, z, True,
+                      _nu_cutoff(M, alpha_j, k, z, tol))
+    return pref * complex(f[0] / 2 + f[1:].sum())
 
 
 def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
@@ -295,29 +307,18 @@ def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
 
     The sign-weighted sum is not modular; the expansion carries, besides the
     theta-like Gauss-sum part, a correction assembled from principal-value
-    integrals (one nu-sum per window index l).  The Gauss-sum second argument
-    is 2 r alpha_j h + l, matching the quadratic-completion bookkeeping of the
-    full product expansion.
+    integrals (one nu-sum per window index l), which takes the place of the
+    nu = 0 term.  The Gauss-sum second argument is 2 r alpha_j h + l, matching
+    the quadratic-completion bookkeeping of the full product expansion.
     """
     if math.gcd(h, k) != 1:
         raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
-    gtab = gauss_sum_table((2 * M * alpha_j * h) % k, k)
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
         2 * cmath.sqrt(M * k * alpha_j * z))
-    b0 = 2 * r * alpha_j * h
-    part1 = 0.0 + 0.0j
-    for nu, g in _theta_nu_terms(M, alpha_j, k, z, tol):
-        if nu == 0:
-            continue
-        for s in (1, -1):
-            v = s * nu
-            part1 += s * g * _unit_phase(r * v, 2 * M * k) * gtab[(b0 + v) % k]
-    window = lattice_window(M * k)
-    sums = nu_sum_batch(window, M, alpha_j, k, z, terms=nu_terms)
-    part2 = 0.0 + 0.0j
-    for ell, s in zip(window, sums):
-        part2 += _unit_phase(r * ell, 2 * M * k) * gtab[(b0 + ell) % k] * s
-    return pref * (part1 + (1j / math.pi) * part2)
+    f = _gauss_factor(r, M, alpha_j, h, k, z, False,
+                      _nu_cutoff(M, alpha_j, k, z, tol))
+    zero = _window_entry(r, M, alpha_j, h, k, z, nu_terms)
+    return pref * complex(zero / 2 + f[1:].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ its values on the circle of radius exp(-2 pi / N^2), N = floor(sqrt(n)),
 dissected along the order-N Farey arcs.  Evaluators receive (h, k, z) so both
 the direct-summation route and the Gauss-sum transformed route can reduce
 rational phases exactly.
+
+The nu-decomposition (``i_nu_contributions``) uses the same per-coordinate
+Gauss-sum factor as the transformed evaluators (``analytic._gauss_factor``),
+tabulated once per node and indexed by each nu.
 """
 from __future__ import annotations
 
@@ -17,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (complex_quad, false_theta_eval_direct_arc,
-                       false_theta_eval_transformed, lattice_window,
-                       nu_sum_batch, theta_eval_direct_arc,
+from .analytic import (_gauss_factor, _unit_phase, _window_entry,
+                       complex_quad, false_theta_eval_direct_arc,
+                       false_theta_eval_transformed, theta_eval_direct_arc,
                        theta_eval_transformed)
 from .arith import gauss_sum_table
 from .farey import arcs, rho_congruence
@@ -52,7 +56,6 @@ class ContourConfig:
     n: int
     mode: str = "direct"  # "direct" | "transformed" (informational)
     tol: float = 1e-9
-    quad_limit: int = 200
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -108,9 +111,8 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
         lo = -float(arc.theta_left)
         hi = float(arc.theta_right)
         val, e = complex_quad(integrand, lo, hi, points=[0.0],
-                              limit=config.quad_limit, tol=per_arc_tol)
-        phase = cmath.exp(-2j * cmath.pi * ((n * h) % k) / k)
-        total += phase * amp * val
+                              tol=per_arc_tol)
+        total += _unit_phase(-n * h, k) * amp * val
         err += amp * e
     return ContourResult(value=total, num_arcs=used, quad_error=err, n=n,
                          N=N, mode=config.mode)
@@ -136,8 +138,7 @@ def _prefactor(r: int, M: int, alpha_sum: int, h: int, k: int,
     # phase reduced exactly
     c = r * r * alpha_sum
     den = 2 * M * k
-    return cmath.exp(-2j * cmath.pi * ((h * c) % den) / den) * cmath.exp(
-        2 * cmath.pi * z * c / den)
+    return _unit_phase(-h * c, den) * cmath.exp(2 * cmath.pi * z * c / den)
 
 
 def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -208,39 +209,6 @@ class TransformTerm:
         return self.lam[j - 1] if j not in self.J else 0
 
 
-def _coordinate_factor(r: int, M: int, alpha_j: int, in_J: bool, nu_j: int,
-                       h: int, k: int, z: complex,
-                       nusums: np.ndarray | None) -> complex:
-    """Sum over (eps_j, lambda_j) of phase * Gauss sum * selector for one
-    coordinate at one arc point.
-
-    For nu_j = 0 the eps-sum contributes a factor 2 (the reconstruction
-    weights halve it back).  Off J with nu_j = 0 the selector is the nu-sum of
-    principal-value integrals times i/pi; the window sum over lambda_j is
-    genuine there and a dummy average elsewhere.
-    """
-    gtab = gauss_sum_table((2 * M * alpha_j * h) % k, k)
-    b0 = 2 * r * alpha_j * h
-    den = 2 * M * k
-    gauss_weight = cmath.exp(-cmath.pi * nu_j * nu_j / (4 * M * k * alpha_j * z))
-    if in_J or nu_j != 0:
-        total = 0.0 + 0.0j
-        eps_range = (1, -1)
-        for e in eps_range:
-            v = e * nu_j
-            sel = 1.0 if in_J else (e if nu_j != 0 else 1.0)
-            total += sel * cmath.exp(2j * cmath.pi * ((r * v) % den) / den) * \
-                gtab[(b0 + v) % k]
-        return gauss_weight * total
-    # off J, nu_j = 0: window sum with the pv-sum selector; eps-sum gives 2
-    window = lattice_window(M * k)
-    total = 0.0 + 0.0j
-    for lam, s in zip(window, nusums):
-        total += cmath.exp(2j * cmath.pi * ((r * lam) % den) / den) * \
-            gtab[(b0 + lam) % k] * s
-    return 2.0 * (1j / math.pi) * total
-
-
 def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        J: frozenset[int] | set[int],
                        nus: Sequence[tuple[int, int, int, int]], n: int,
@@ -248,6 +216,10 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        nu_terms: int = 24) -> dict[tuple[int, int, int, int], complex]:
     """Arc-sum contributions indexed by nu, sharing quadrature nodes and
     nu-sum tables across all requested nu (fixed Gauss-Legendre rule per arc).
+
+    At each node, every coordinate's Gauss-sum factor (``_gauss_factor``,
+    with the window entry at nu_j = 0 off J) is tabulated once per
+    (alpha_j, in J) over nu_j = 0..max and indexed by each nu.
     """
     J = frozenset(J)
     if J == FULL_J:
@@ -255,34 +227,33 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
     N = max(1, isqrt(n))
     alpha_sum = sum(alpha)
     glx, glw = np.polynomial.legendre.leggauss(nodes)
-    out: dict[tuple[int, int, int, int], complex] = {tuple(nu): 0.0 + 0.0j
-                                                     for nu in nus}
+    keys = [tuple(nu) for nu in nus]
+    out: dict[tuple[int, int, int, int], complex] = {nu: 0.0 + 0.0j
+                                                     for nu in keys}
     c_shift = r * r * alpha_sum / (2.0 * M)
-    needs_window = {alpha[j - 1] for j in range(1, 5) if j not in J}
+    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
+    nu_max = max((max(nu) for nu in keys), default=0)
     for arc in sorted(arcs(N), key=lambda a: (a.k, a.h)):
         h, k = arc.h, arc.k
         lo, hi = -float(arc.theta_left), float(arc.theta_right)
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        window = lattice_window(M * k)
-        phase_n = cmath.exp(-2j * cmath.pi * ((n * h) % k) / k)
-        for x, wgt in zip(glx, glw):
+        phase_n = _unit_phase(-n * h, k)
+        for x, wgt in zip(glx.tolist(), glw.tolist()):
             phi = mid + half * x
             z = k * (1.0 / N**2 - 1j * phi)
-            nusums = {a: nu_sum_batch(window, M, a, k, z, terms=nu_terms)
-                      for a in needs_window}
+            tables = {}
+            for a, in_J in set(coords):
+                tab = _gauss_factor(r, M, a, h, k, z, in_J, nu_max).tolist()
+                if not in_J:
+                    tab[0] = _window_entry(r, M, a, h, k, z, nu_terms)
+                tables[a, in_J] = tab
+            t1, t2, t3, t4 = (tables[c] for c in coords)
             base = cmath.exp(2 * cmath.pi * (n + c_shift) * z / k) / \
                 (k * k * z * z)
-            factor_cache: dict[tuple[int, bool, int], complex] = {}
-            for nu in nus:
-                prod = 1.0 + 0.0j
-                for j, a in enumerate(alpha, start=1):
-                    key = (a, j in J, nu[j - 1])
-                    if key not in factor_cache:
-                        factor_cache[key] = _coordinate_factor(
-                            r, M, a, j in J, nu[j - 1], h, k, z,
-                            nusums.get(a))
-                    prod *= factor_cache[key]
-                out[tuple(nu)] += phase_n * wgt * half * base * prod
+            coef = phase_n * wgt * half * base
+            for nu in keys:
+                out[nu] += coef * (t1[nu[0]] * t2[nu[1]] * t3[nu[2]]
+                                   * t4[nu[3]])
     return out
 
 
@@ -399,7 +370,7 @@ def kloosterman_h_sum(n: int, k: int, M: int,
             continue
         if rho_congruence(h, k, N) > rho_max:
             continue
-        term = cmath.exp(-2j * cmath.pi * ((n * h) % k) / k)
+        term = _unit_phase(-n * h, k)
         for a, dj in zip(alpha, d):
             term *= gauss_sum_table((2 * M * a * h) % k, k)[dj % k]
         total += term

@@ -36,9 +36,13 @@ def _parse_alpha(text: str) -> tuple[int, int, int, int]:
 def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+        out = range(int(lo), int(hi) + 1)
+    else:
+        out = range(int(text), int(text) + 1)
+    if not out or out.start < 0:
+        raise argparse.ArgumentTypeError(
+            f"need a non-empty range of non-negative integers, got {text}")
+    return out
 
 
 def _parse_J(text: str) -> frozenset[int]:
@@ -72,14 +76,21 @@ def _emit(args, rows: list[dict], payload: dict) -> None:
 # count
 # ---------------------------------------------------------------------------
 
+def _bad_input(exc: ValueError) -> int:
+    sys.stderr.write(f"polytheta: {exc}\n")
+    return 2
+
+
 def cmd_count(args) -> int:
     rows = []
+    nmax = max(args.n)
     if args.squares:
-        inst = CongruenceInstance(r=args.r, M=args.M, alpha=args.alpha,
-                                  lower_bound=args.lower)
-        nmax = max(args.n)
-        bounded = CongruenceInstance(r=args.r, M=args.M, alpha=args.alpha,
-                                     lower_bound=1 if args.lower is None else args.lower)
+        try:
+            bounded = CongruenceInstance(
+                r=args.r, M=args.M, alpha=args.alpha,
+                lower_bound=1 if args.lower is None else args.lower)
+        except ValueError as exc:
+            return _bad_input(exc)
         free = CongruenceInstance(r=args.r, M=args.M, alpha=args.alpha)
         t_s = counting.squares_count_table(bounded, nmax)
         t_star = counting.squares_count_table(free, nmax)
@@ -88,15 +99,16 @@ def cmd_count(args) -> int:
         payload = {"kind": "squares", "r": args.r, "M": args.M,
                    "alpha": list(args.alpha)}
     else:
-        inst = PolygonalInstance(m=args.m, alpha=args.alpha)
-        nmax = max(args.n)
+        try:
+            inst = PolygonalInstance(m=args.m, alpha=args.alpha)
+        except ValueError as exc:
+            return _bad_input(exc)
         t_r = counting.polygonal_count_table(inst, nmax, NON_NEGATIVE)
         t_rp = counting.polygonal_count_table(inst, nmax, POSITIVE)
         t_rs = counting.polygonal_count_table(inst, nmax, ALL_INTEGERS)
         with_squares = inst.m >= 5
         if with_squares:
-            cong, _ = counting.polygonal_to_squares(inst, 0)
-            shift0 = counting.polygonal_to_squares(inst, 0)[1]
+            cong, shift0 = counting.polygonal_to_squares(inst, 0)
             stride = 8 * (inst.m - 2)
             t_s = counting.squares_count_table(cong, shift0 + stride * nmax)
             free = CongruenceInstance(r=cong.r, M=cong.M, alpha=cong.alpha)
@@ -620,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k-max", type=int, default=6, dest="k_max")
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--nmax", type=int, default=20000)
-    v.add_argument("--grid", default="default")
     v.add_argument("--format", default="table", choices=["table", "csv", "json"])
     v.set_defaults(func=_dispatch_verify)
 
@@ -686,8 +697,7 @@ def _dispatch_verify(args) -> int:
                     "lemma5_4": 1e-8}.get(args.name, 1e-8)
     if args.name in ("lemma4_1", "lemma4_2"):
         args.N = min(args.N, 20)
-        if args.grid == "default":
-            args.k_max = min(args.k_max, 6)
+        args.k_max = min(args.k_max, 6)
     return cmd_verify(args)
 
 

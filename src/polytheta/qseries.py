@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -52,22 +52,6 @@ class QSeries:
     @classmethod
     def one(cls, D: int = 1, order: int = 1) -> "QSeries":
         return cls(D, order, {0: 1})
-
-    @classmethod
-    def from_exponents(cls, D: int, truncation: Rational,
-                       terms: Iterable[tuple[Rational, Rational]]) -> "QSeries":
-        """Build from (exponent, coefficient) pairs; exponents must lie on (1/D)Z."""
-        order = _ceil_index(truncation, D)
-        coeffs: dict[int, Fraction] = {}
-        for e, c in terms:
-            e = Fraction(e)
-            idx = e * D
-            if idx.denominator != 1:
-                raise ValueError(f"exponent {e} not on the 1/{D} lattice")
-            i = int(idx)
-            if i < order:
-                coeffs[i] = coeffs.get(i, Fraction(0)) + Fraction(c)
-        return cls(D, order, coeffs)
 
     # -- basic views --------------------------------------------------------
 

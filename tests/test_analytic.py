@@ -78,6 +78,11 @@ def test_direct_eval_rejects_lower_half_plane():
         an.theta_eval_direct(1, 2, 1, 0.3 - 0.1j)
     with pytest.raises(ValueError):
         an.false_theta_eval_direct(1, 2, 1, 0.3)
+    for z in (0.0 - 0.2j, -0.1 + 0.3j):
+        with pytest.raises(ValueError):
+            an.theta_eval_direct_arc(1, 4, 2, 1, 3, z)
+        with pytest.raises(ValueError):
+            an.false_theta_eval_direct_arc(1, 2, 2, 1, 3, z)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,8 @@ def test_false_theta_transformed_generic_points():
 def test_transformed_requires_coprime():
     with pytest.raises(ValueError):
         an.theta_eval_transformed(1, 2, 1, 2, 4, 0.1 + 0j)
+    with pytest.raises(ValueError):
+        an.false_theta_eval_transformed(1, 2, 1, 2, 4, 0.1 + 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,23 @@ def test_count_table_format(capsys):
     assert out.splitlines()[0].split()[:3] == ["n", "r", "r_plus"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "5..2"],
+    ["count", "--n", "-3"],
+    ["count", "--squares", "--M", "0", "--n", "3"],
+])
+def test_count_bad_input_exits_2_without_traceback(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1]
+
+
 def test_verify_unknown_name(capsys):
     code = main(["verify", "nope"])
     assert code == 2
