@@ -3,10 +3,16 @@
 Everything here is exact except the Gauss sums, which are complex sums of
 unit-modulus terms evaluated in double precision after reducing all phases
 modulo the denominator in integer arithmetic.
+
+The divisor-sum tables (``sigma_table``, ``twisted8_table`` and through them
+``jacobi_four_square_table``) sieve by divisor pairs: every divisor d <= sqrt(n)
+of n is paired with its cofactor n/d, as in Dirichlet's hyperbola method, so
+a table to nmax takes isqrt(nmax) numpy slice steps instead of nmax.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -146,12 +152,24 @@ def twisted_divisor_sum_8(n: int) -> int:
     return sum(kronecker(8, d) * d for d in divisors(n))
 
 
+def _divisor_pair_sum(w: np.ndarray) -> np.ndarray:
+    """sum_{d|n} w[d] for 0 <= n < len(w) as int64 (index 0 set to 0).
+
+    Each n = d*q with d <= q is visited once from its smaller divisor d <=
+    isqrt(nmax): the first slice adds the cofactor term w[q] for every q >= d,
+    the second the divisor term w[d] for every q > d (q == d is one divisor).
+    """
+    nmax = len(w) - 1
+    out = np.zeros(nmax + 1, dtype=np.int64)
+    for d in range(1, isqrt(max(nmax, 0)) + 1):
+        out[d * d::d] += w[d:nmax // d + 1]
+        out[d * d + d::d] += w[d]
+    return out
+
+
 def sigma_table(nmax: int) -> np.ndarray:
     """sigma(n) for 0 <= n <= nmax as int64 (index 0 unused, set to 0)."""
-    sig = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, nmax + 1):
-        sig[d::d] += d
-    return sig
+    return _divisor_pair_sum(np.arange(nmax + 1, dtype=np.int64))
 
 
 def phi_table(nmax: int) -> np.ndarray:
@@ -166,10 +184,12 @@ def phi_table(nmax: int) -> np.ndarray:
 
 def twisted8_table(nmax: int) -> np.ndarray:
     """sum_{d|n} (8/d) d for 0 <= n <= nmax; even d contribute 0."""
-    out = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, nmax + 1, 2):
-        out[d::d] += (1 if d % 8 in (1, 7) else -1) * d
-    return out
+    # weight (8/k) k: 0 for even k, -k for k = 3, 5 (mod 8), k otherwise
+    w = np.arange(nmax + 1, dtype=np.int64)
+    w[::2] = 0
+    w[3::8] *= -1
+    w[5::8] *= -1
+    return _divisor_pair_sum(w)
 
 
 def jacobi_four_square_table(nmax: int) -> np.ndarray:

@@ -28,9 +28,20 @@ __all__ = ["main", "build_parser", "VERIFIERS"]
 
 def _parse_alpha(text: str) -> tuple[int, int, int, int]:
     parts = tuple(int(p) for p in text.split(","))
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("alpha needs exactly four entries")
+    if len(parts) != 4 or min(parts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"alpha needs exactly four positive entries, got {text}")
     return parts
+
+
+def _bounded_int(lower: int):
+    """argparse type for an integer that must be at least ``lower``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lower}, got {text}")
+        return value
+    return integer
 
 
 def _parse_range(text: str) -> range:
@@ -48,7 +59,10 @@ def _parse_range(text: str) -> range:
 def _parse_J(text: str) -> frozenset[int]:
     if not text:
         return frozenset()
-    return frozenset(int(p) for p in text.split(","))
+    J = frozenset(int(p) for p in text.split(","))
+    if not J <= {1, 2, 3, 4}:
+        raise argparse.ArgumentTypeError(f"J must be a subset of 1,2,3,4, got {text}")
+    return J
 
 
 def _emit(args, rows: list[dict], payload: dict) -> None:
@@ -628,17 +642,17 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--M", type=int, default=2)
     v.add_argument("--alpha", type=_parse_alpha, default=(1, 1, 1, 1))
     v.add_argument("--order", type=int, default=200)
-    v.add_argument("--N", type=int, default=200)
+    v.add_argument("--N", type=_bounded_int(1), default=200)
     v.add_argument("--k-max", type=int, default=6, dest="k_max")
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--nmax", type=int, default=20000)
+    v.add_argument("--nmax", type=_bounded_int(0), default=20000)
     v.add_argument("--format", default="table", choices=["table", "csv", "json"])
     v.set_defaults(func=_dispatch_verify)
 
     a = sub.add_parser("asymptotics", help="exact counts vs divisor-sum main terms")
     a.add_argument("--which", required=True,
                    choices=["hexagonal", "hexagonal2", "pentagonal", "squares"])
-    a.add_argument("--nmax", type=int, default=10000)
+    a.add_argument("--nmax", type=_bounded_int(0), default=10000)
     a.add_argument("--out", default=None, help="write full CSV here")
     a.add_argument("--max-rows", type=int, default=200, dest="max_rows")
     a.add_argument("--spot-check", type=int, default=0, dest="spot_check",
@@ -653,13 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_asymptotics)
 
     f = sub.add_parser("farey", help="dump the order-N arcs")
-    f.add_argument("--N", type=int, required=True)
+    f.add_argument("--N", type=_bounded_int(1), required=True)
     f.add_argument("--format", default="csv", choices=["table", "csv", "json"])
     f.set_defaults(func=cmd_farey)
 
     g = sub.add_parser("grid", help="per-point sweep export for a named check")
     g.add_argument("name", choices=["lemma4_1", "lemma4_2", "lemma5_1"])
-    g.add_argument("--N", type=int, default=12)
+    g.add_argument("--N", type=_bounded_int(1), default=12)
     g.add_argument("--k-max", type=int, default=5, dest="k_max")
     g.add_argument("--format", default="csv", choices=["table", "csv", "json"])
     g.set_defaults(func=cmd_grid)
@@ -668,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", default="theta",
                    choices=["theta", "false-theta", "partial", "star", "fJ"])
     s.add_argument("--r", type=int, default=1)
-    s.add_argument("--M", type=int, default=2)
+    s.add_argument("--M", type=_bounded_int(1), default=2)
     s.add_argument("--alpha", type=_parse_alpha, default=(1, 1, 1, 1))
     s.add_argument("--J", type=_parse_J, default=frozenset({1, 2, 3, 4}))
     s.add_argument("--scale", type=int, default=1)
@@ -678,10 +692,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("contour", help="reconstruct a coefficient from arc integrals")
     k.add_argument("--r", type=int, default=1)
-    k.add_argument("--M", type=int, default=2)
+    k.add_argument("--M", type=_bounded_int(1), default=2)
     k.add_argument("--alpha", type=_parse_alpha, default=(1, 1, 1, 1))
     k.add_argument("--J", type=_parse_J, default=frozenset({1, 2, 3, 4}))
-    k.add_argument("--n", type=int, required=True)
+    k.add_argument("--n", type=_bounded_int(0), required=True)
     k.add_argument("--mode", default="direct", choices=["direct", "transformed"])
     k.add_argument("--series", default="product", choices=["product", "const"])
     k.add_argument("--tol", type=float, default=1e-9)

@@ -277,12 +277,13 @@ def _convolve_supports(supports: list[np.ndarray], nmax: int) -> np.ndarray:
     """Truncated product of generating arrays: exact int64 with overflow guard.
 
     Each support array holds the per-coordinate counts by value (index =
-    contributed value).  All entries are non-negative, so partial sums are
-    bounded by the final counts and a single guard on the running maximum
-    suffices.
+    contributed value).  The product starts from the first support and adds
+    each further support's shifts of the running product once per unit of
+    multiplicity, so no scaled temporary is made.  All entries are
+    non-negative, so partial sums are bounded by the final counts and a
+    single guard on the running maximum suffices.
     """
-    acc = np.zeros(nmax + 1, dtype=np.int64)
-    acc[0] = 1
+    acc = None
     acc_max = 1
     for sup in supports:
         # preventive guard: entries are non-negative, so the next maximum is
@@ -292,15 +293,14 @@ def _convolve_supports(supports: list[np.ndarray], nmax: int) -> np.ndarray:
                 "batch count exceeds the checked 64-bit range; "
                 "reduce nmax or count per index with exact big ints"
             )
-        new = np.zeros(nmax + 1, dtype=np.int64)
-        idx = np.nonzero(sup)[0]
-        for e in idx:
-            c = int(sup[e])
-            if e == 0:
-                new += c * acc
-            else:
-                new[e:] += c * acc[: nmax + 1 - e]
-        acc = new
+        if acc is None:
+            acc = sup.copy()
+        else:
+            new = np.zeros(nmax + 1, dtype=np.int64)
+            idx = np.nonzero(sup)[0]
+            for e in np.repeat(idx, sup[idx]):
+                new[e:] += acc[: nmax + 1 - e]
+            acc = new
         acc_max = int(acc.max(initial=0))
     return acc
 

@@ -109,6 +109,22 @@ def test_tables_match_scalars():
         assert sig[n] == arith.divisor_sigma(n)
         assert phi[n] == arith.euler_phi(n)
         assert tw[n] == arith.twisted_divisor_sum_8(n)
+    # tables whose nmax sits on a square boundary of the divisor-pair sieve
+    for nmax in (0, 1, 2, 3, 4, 8, 9, 24, 25, 289):
+        sig = arith.sigma_table(nmax)
+        tw = arith.twisted8_table(nmax)
+        assert len(sig) == len(tw) == nmax + 1
+        assert sig[0] == tw[0] == 0
+        for n in range(1, nmax + 1):
+            assert sig[n] == arith.divisor_sigma(n)
+            assert tw[n] == arith.twisted_divisor_sum_8(n)
+    rng = np.random.default_rng(20261018)
+    sig = arith.sigma_table(360001)
+    for n in rng.integers(1, 360002, size=200):
+        assert sig[n] == arith.divisor_sigma(int(n))
+    tw = arith.twisted8_table(480005)
+    for n in rng.integers(1, 480006, size=200):
+        assert tw[n] == arith.twisted_divisor_sum_8(int(n))
 
 
 def test_jacobi_table_entries():

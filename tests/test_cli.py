@@ -51,6 +51,17 @@ def test_count_table_format(capsys):
     ["count", "--n", "5..2"],
     ["count", "--n", "-3"],
     ["count", "--squares", "--M", "0", "--n", "3"],
+    ["contour", "--M", "0", "--n", "3"],
+    ["contour", "--n", "-1"],
+    ["series", "--M", "0"],
+    ["farey", "--N", "0"],
+    ["farey", "--N", "-2"],
+    ["asymptotics", "--which", "hexagonal", "--nmax", "-5"],
+    ["series", "--kind", "fJ", "--J", "5"],
+    ["contour", "--alpha", "0,1,1,1", "--n", "2"],
+    ["verify", "lemma4_1", "--N", "0"],
+    ["verify", "cor1_2", "--nmax", "-3"],
+    ["grid", "lemma4_1", "--N", "0"],
 ])
 def test_count_bad_input_exits_2_without_traceback(capsys, argv):
     try:

@@ -153,10 +153,13 @@ def test_tables_match_per_index_counters():
     tab = squares_count_table(cinst, 120)
     for n in range(121):
         assert tab[n] == count_squares(cinst, n)
-    bounded = CongruenceInstance(r=5, M=6, alpha=(1, 1, 1, 1), lower_bound=-1)
-    tab = squares_count_table(bounded, 120)
-    for n in range(121):
-        assert tab[n] == count_squares(bounded, n)
+    # the last two have supports with entries 2 (x and -x in the same class)
+    for cinst in (CongruenceInstance(r=5, M=6, alpha=(1, 1, 1, 1), lower_bound=-1),
+                  CongruenceInstance(r=1, M=2, alpha=(2, 1, 1, 1)),
+                  CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1))):
+        tab = squares_count_table(cinst, 120)
+        for n in range(121):
+            assert tab[n] == count_squares(cinst, n)
 
 
 def test_zero_one_gap_exponent():
