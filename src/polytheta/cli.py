@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 import numpy as np
 
-from . import analytic, arith, circle, counting, farey, modforms, series
+from . import circle, counting, farey, series
+from .analytic import resolved_relative_error
+from .checks import (FAMILIES, VERIFIERS, main_term_table, pv_pairs,
+                     transformation_pairs)
 from .counting import (ALL_INTEGERS, NON_NEGATIVE, POSITIVE,
                        CongruenceInstance, PolygonalInstance)
 
@@ -148,232 +148,19 @@ def cmd_count(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyOutcome:
-    name: str
-    passed: bool
-    worst_error: float
-    detail: str = ""
-
-
-def _verify_lemma2_2(args) -> VerifyOutcome:
-    rep = series.rplus_generating_check(args.m, args.alpha, args.order)
-    return VerifyOutcome("lemma2_2", rep.ok, 0.0 if rep.ok else math.inf,
-                         f"m={args.m} alpha={args.alpha} n<={args.order}")
-
-
-def _verify_lemma2_3(args) -> VerifyOutcome:
-    rep = series.decomposition_check(args.r, args.M, args.alpha, args.order)
-    return VerifyOutcome("lemma2_3", rep.ok, 0.0 if rep.ok else math.inf,
-                         f"r={args.r} M={args.M} alpha={args.alpha} n<={args.order}")
-
-
-def _verify_lemma2_4(args) -> VerifyOutcome:
-    m = args.m
-    alpha = args.alpha
-    n_max = args.order
-    fj = series.f_J_series(m, m - 2, alpha, series.FULL_J,
-                           4 * n_max)
-    inst = PolygonalInstance(m=m, alpha=alpha)
-    tab = counting.polygonal_count_table(inst, n_max, ALL_INTEGERS)
-    ok = all(fj.coeff(4 * (n - sum(alpha))) == int(tab[n])
-             for n in range(n_max + 1))
-    return VerifyOutcome("lemma2_4", ok, 0.0 if ok else math.inf,
-                         f"m={m} alpha={alpha} n<={n_max}")
-
-
-def _verify_lemma3_1(args) -> VerifyOutcome:
-    # reflection h/k -> (k-h)/k swaps the neighbor roles: rho2(h) = rho1(k-h)
-    for N in range(1, args.N + 1):
-        by_frac = {(a.h, a.k): a for a in farey.arcs(N)}
-        for arc in by_frac.values():
-            if arc.k == 1:
-                continue
-            mirror = by_frac[(arc.k - arc.h, arc.k)]
-            if arc.rho2 != mirror.rho1:
-                return VerifyOutcome("lemma3_1", False, math.inf,
-                                     f"N={N} h/k={arc.h}/{arc.k}")
-    return VerifyOutcome("lemma3_1", True, 0.0, f"N<={args.N}")
-
-
-def _verify_lemma6_2(args) -> VerifyOutcome:
-    for N in range(1, args.N + 1):
-        for arc in farey.arcs(N):
-            if farey.rho_congruence(arc.h, arc.k, N) != arc.rho1:
-                return VerifyOutcome("lemma6_2", False, math.inf,
-                                     f"N={N} h/k={arc.h}/{arc.k}")
-    return VerifyOutcome("lemma6_2", True, 0.0, f"N<={args.N}")
-
-
-def _transformation_grid(k_max: int, N: int):
-    for arc in farey.arcs(N):
-        if arc.k > k_max:
-            continue
-        for phi in (-float(arc.theta_left), 0.0, float(arc.theta_right)):
-            yield arc.h, arc.k, arc.k * (1.0 / N**2 - 1j * phi)
-
-
-# (r, M, alpha_j) with r not in {0, M} mod 2M, so the sign-weighted sum is
-# not identically zero and relative error is meaningful
-DEFAULT_THETA_CONFIGS = [(1, 2, 1), (5, 4, 1), (3, 4, 2), (5, 6, 1)]
-
-
-def _verify_lemma4_1(args) -> VerifyOutcome:
-    worst = 0.0
-    for (r, M, aj) in DEFAULT_THETA_CONFIGS:
-        for h, k, z in _transformation_grid(args.k_max, args.N):
-            direct = analytic.theta_eval_direct_arc(r, 2 * M, 2 * aj, h, k, z)
-            trans = analytic.theta_eval_transformed(r, M, aj, h, k, z)
-            worst = max(worst, analytic.resolved_relative_error(direct, trans))
-    return VerifyOutcome("lemma4_1", worst <= args.tol, worst,
-                         f"k<={args.k_max} N={args.N} tol={args.tol}")
-
-
-def _verify_lemma4_2(args) -> VerifyOutcome:
-    worst = 0.0
-    for (r, M, aj) in DEFAULT_THETA_CONFIGS:
-        for h, k, z in _transformation_grid(args.k_max, args.N):
-            direct = analytic.false_theta_eval_direct_arc(r, M, 2 * aj, h, k, z)
-            trans = analytic.false_theta_eval_transformed(r, M, aj, h, k, z)
-            worst = max(worst, analytic.resolved_relative_error(direct, trans))
-    return VerifyOutcome("lemma4_2", worst <= args.tol, worst,
-                         f"k<={args.k_max} N={args.N} tol={args.tol}")
-
-
-PV_GRID = [
-    # (mu, M, alpha_j, k, N, phi_frac) ; z = k(1/N^2 - i phi), phi = phi_frac/(k N)
-    (1, 1, 1, 1, 6, 0.0),
-    (2, 2, 1, 3, 10, 0.5),
-    (5, 2, 1, 3, 10, -0.5),
-    (-3, 1, 2, 2, 8, 0.25),
-    (8, 4, 1, 5, 12, 0.9),
-    (-7, 2, 3, 4, 9, -0.8),
-]
-
-
-def _pv_grid_points():
-    for mu, M, aj, k, N, frac in PV_GRID:
-        z = k * (1.0 / N**2 - 1j * frac / (k * N))
-        yield analytic.PVIntegralParams(mu=mu, M=M, alpha_j=aj, k=k, z=z)
-
-
-def _verify_lemma5_1(args) -> VerifyOutcome:
-    worst = 0.0
-    for params in _pv_grid_points():
-        split = analytic.pv_integral(params)
-        direct = analytic.pv_integral_direct(params)
-        rel = abs(split - direct) / max(abs(direct), 1e-300)
-        worst = max(worst, rel)
-    return VerifyOutcome("lemma5_1", worst <= args.tol, worst,
-                         f"grid of {len(PV_GRID)} points, tol={args.tol}")
-
-
-def _verify_lemma5_4(args) -> VerifyOutcome:
-    worst = 0.0
-    z = 0.9 + 0.35j
-    for d in (1, 2, 3):
-        for A in (1.0, 5.0, 20.0):
-            for sign in (1, -1):
-                worst = max(worst, analytic.j_recursion_residual(d, sign, A, z))
-    return VerifyOutcome("lemma5_4", worst <= args.tol, worst,
-                         f"d in 1..3, A in {{1,5,20}}, tol={args.tol}")
-
-
-def _verify_lemma5_5(args) -> VerifyOutcome:
-    worst_ratio = 0.0
-    for A in (25.0, 50.0, 100.0):
-        for z in (1.0 + 0.0j, 0.8 + 0.3j, 0.5 - 0.2j):
-            rez = abs(z) * (1 / z).real
-            envelope = math.sqrt(math.pi * A) * math.exp(-A * rez / 4) / math.sqrt(rez)
-            main = 2 * np.sqrt(np.pi * A * abs(z) / z)
-            rem_minus = abs(analytic.j_integral(0, -1, A, z) - main)
-            rem_plus = abs(analytic.j_integral(0, 1, A, z))
-            worst_ratio = max(worst_ratio, rem_minus / envelope, rem_plus / envelope)
-    return VerifyOutcome("lemma5_5", worst_ratio <= 1.01, worst_ratio,
-                         "remainder within the exponential envelope")
-
-
-def _verify_lemma5_8(args) -> VerifyOutcome:
-    ok = True
-    detail = []
-    for (M, k) in ((2, 3), (4, 5)):
-        N = 4 * k
-        z = k * (1.0 / N**2 - 1j * 0.4 / (k * N))
-        dists = []
-        for ell in range(1, M * k + 1):
-            s = analytic.nu_sum(ell, M, 1, k, z)
-            dists.append(abs(s - analytic.cot_main_term(ell, M, 1, k, z)))
-        thirds = max(1, len(dists) // 3)
-        w1 = float(np.mean(dists[:thirds]))
-        w3 = float(np.mean(dists[-thirds:]))
-        ok = ok and (w3 < w1)
-        detail.append(f"(M,k)=({M},{k}): {w1:.3e} -> {w3:.3e}")
-    return VerifyOutcome("lemma5_8", ok, 0.0 if ok else math.inf,
-                         "; ".join(detail))
-
-
-def _verify_theta_split(args) -> VerifyOutcome:
-    rep = modforms.verify_theta_split(args.order)
-    return VerifyOutcome("theta_split", rep.ok,
-                         0.0 if rep.ok else math.inf,
-                         f"order={args.order} mismatch={rep.first_mismatch}")
-
-
-def _corollary_ratio_trend(which: str, m: int,
-                           alpha: tuple[int, int, int, int],
-                           nmax: int) -> tuple[bool, str]:
-    inst = PolygonalInstance(m=m, alpha=alpha)
-    table = counting.polygonal_count_table(inst, nmax, NON_NEGATIVE)
-    checkpoints = [c for c in (100, 1000, 10000, 100000) if c <= nmax]
-    devs = []
-    for c in checkpoints:
-        lo, hi = int(0.8 * c), c
-        ratio = [float(table[n]) / float(modforms.corollary_main_terms(which, n))
-                 for n in range(lo, hi + 1, max(1, (hi - lo) // 400))]
-        devs.append(abs(float(np.mean(ratio)) - 1.0))
-    ok = all(b < a for a, b in zip(devs, devs[1:]))
-    return ok, " -> ".join(f"{d:.4f}" for d in devs)
-
-
-def _verify_corollary(which: str, args) -> VerifyOutcome:
-    m, alpha = {"cor1_2": (6, (1, 1, 1, 1)),
-                "cor1_3": (6, (2, 1, 1, 1)),
-                "cor1_4": (5, (1, 1, 1, 1))}[which]
-    family = {"cor1_2": "hexagonal", "cor1_3": "hexagonal2",
-              "cor1_4": "pentagonal"}[which]
-    ok, detail = _corollary_ratio_trend(family, m, alpha, args.nmax)
-    return VerifyOutcome(which, ok, 0.0 if ok else math.inf, detail)
-
-
-VERIFIERS = {
-    "lemma2_2": _verify_lemma2_2,
-    "lemma2_3": _verify_lemma2_3,
-    "lemma2_4": _verify_lemma2_4,
-    "lemma3_1": _verify_lemma3_1,
-    "lemma4_1": _verify_lemma4_1,
-    "lemma4_2": _verify_lemma4_2,
-    "lemma5_1": _verify_lemma5_1,
-    "lemma5_4": _verify_lemma5_4,
-    "lemma5_5": _verify_lemma5_5,
-    "lemma5_8": _verify_lemma5_8,
-    "lemma6_2": _verify_lemma6_2,
-    "theta_split": _verify_theta_split,
-    "cor1_2": lambda a: _verify_corollary("cor1_2", a),
-    "cor1_3": lambda a: _verify_corollary("cor1_3", a),
-    "cor1_4": lambda a: _verify_corollary("cor1_4", a),
-}
-
-
 def cmd_verify(args) -> int:
     if args.name not in VERIFIERS:
         sys.stderr.write(f"unknown identity name: {args.name}\n"
                          f"known: {', '.join(sorted(VERIFIERS))}\n")
         return 2
-    outcome = VERIFIERS[args.name](args)
-    row = {"name": outcome.name, "passed": bool(outcome.passed),
-           "worst_error": float(outcome.worst_error), "detail": outcome.detail}
+    try:
+        passed, worst, detail = VERIFIERS[args.name](args)
+    except ValueError as exc:
+        return _bad_input(exc)
+    row = {"name": args.name, "passed": bool(passed),
+           "worst_error": float(worst), "detail": detail}
     _emit(args, [row], {"kind": "verify"})
-    return 0 if outcome.passed else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +172,7 @@ def _spot_check_one(task) -> tuple[int, int]:
     if which == "squares":
         inst = CongruenceInstance(r=1, M=2, alpha=(1, 1, 1, 1), lower_bound=1)
         return n, counting.count_squares(inst, n)
-    m, alpha = _FAMILIES[which]
-    inst = PolygonalInstance(m=m, alpha=alpha)
-    return n, counting.count_polygonal(inst, n, NON_NEGATIVE)
-
-
-_FAMILIES = {"hexagonal": (6, (1, 1, 1, 1)),
-             "hexagonal2": (6, (2, 1, 1, 1)),
-             "pentagonal": (5, (1, 1, 1, 1))}
+    return n, counting.count_polygonal(FAMILIES[which], n, NON_NEGATIVE)
 
 
 def _worker_cap(requested: int) -> int:
@@ -449,18 +229,9 @@ def cmd_asymptotics(args) -> int:
         table = counting.squares_count_table(bounded, args.nmax)
         main = counting.squares_count_table(free, args.nmax).astype(float) / 16.0
     else:
-        m, alpha = _FAMILIES[args.which]
-        inst = PolygonalInstance(m=m, alpha=alpha)
-        table = counting.polygonal_count_table(inst, args.nmax, NON_NEGATIVE)
-        if args.which == "hexagonal":
-            sig = arith.sigma_table(2 * args.nmax + 1)
-            main = sig[1:2 * args.nmax + 2:2].astype(float) / 16.0
-        elif args.which == "pentagonal":
-            sig = arith.sigma_table(6 * args.nmax + 1)
-            main = sig[1:6 * args.nmax + 2:6].astype(float) / 24.0
-        else:
-            tw = arith.twisted8_table(8 * args.nmax + 5)
-            main = -tw[5:8 * args.nmax + 6:8].astype(float) / 64.0
+        table = counting.polygonal_count_table(FAMILIES[args.which], args.nmax,
+                                               NON_NEGATIVE)
+        main = main_term_table(args.which, args.nmax)
     ns = np.arange(args.nmax + 1)
     exact = table.astype(float)
     residual = exact - main
@@ -536,43 +307,27 @@ def cmd_series(args) -> int:
     return 0
 
 
+def _comparison(lhs: complex, rhs: complex, rel_err: float) -> dict:
+    return {"lhs_re": lhs.real, "lhs_im": lhs.imag, "rhs_re": rhs.real,
+            "rhs_im": rhs.imag, "abs_err": abs(lhs - rhs), "rel_err": rel_err}
+
+
 def cmd_grid(args) -> int:
     """Per-point CSV of a transformation or principal-value sweep."""
-    rows = []
-    if args.name in ("lemma4_1", "lemma4_2"):
-        for (r, M, aj) in DEFAULT_THETA_CONFIGS:
-            for h, k, z in _transformation_grid(args.k_max, min(args.N, 20)):
-                if args.name == "lemma4_1":
-                    lhs = analytic.theta_eval_direct_arc(r, 2 * M, 2 * aj, h, k, z)
-                    rhs = analytic.theta_eval_transformed(r, M, aj, h, k, z)
-                else:
-                    lhs = analytic.false_theta_eval_direct_arc(r, M, 2 * aj,
-                                                               h, k, z)
-                    rhs = analytic.false_theta_eval_transformed(r, M, aj,
-                                                                h, k, z)
-                rows.append({
-                    "r": r, "M": M, "alpha_j": aj, "h": h, "k": k,
-                    "z_re": z.real, "z_im": z.imag,
-                    "lhs_re": lhs.real, "lhs_im": lhs.imag,
-                    "rhs_re": rhs.real, "rhs_im": rhs.imag,
-                    "abs_err": abs(lhs - rhs),
-                    "rel_err": analytic.resolved_relative_error(lhs, rhs),
-                })
-    elif args.name == "lemma5_1":
-        for params in _pv_grid_points():
-            lhs = analytic.pv_integral(params)
-            rhs = analytic.pv_integral_direct(params)
-            rows.append({
-                "mu": params.mu, "M": params.M, "alpha_j": params.alpha_j,
-                "k": params.k, "z_re": params.z.real, "z_im": params.z.imag,
-                "lhs_re": lhs.real, "lhs_im": lhs.imag,
-                "rhs_re": rhs.real, "rhs_im": rhs.imag,
-                "abs_err": abs(lhs - rhs),
-                "rel_err": abs(lhs - rhs) / abs(rhs),
-            })
+    if args.name == "lemma5_1":
+        rows = [{"mu": params.mu, "M": params.M, "alpha_j": params.alpha_j,
+                 "k": params.k, "z_re": params.z.real, "z_im": params.z.imag,
+                 **_comparison(lhs, rhs, abs(lhs - rhs) / abs(rhs))}
+                for params, lhs, rhs in pv_pairs()]
     else:
-        sys.stderr.write(f"unknown grid name: {args.name}\n")
-        return 2
+        try:
+            rows = [{"r": r, "M": M, "alpha_j": aj, "h": h, "k": k,
+                     "z_re": z.real, "z_im": z.imag,
+                     **_comparison(lhs, rhs, resolved_relative_error(lhs, rhs))}
+                    for r, M, aj, h, k, z, lhs, rhs
+                    in transformation_pairs(args.name, args.k_max, args.N)]
+        except ValueError as exc:
+            return _bad_input(exc)
     _emit(args, rows, {"kind": "grid", "name": args.name})
     return 0
 
@@ -647,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--nmax", type=_bounded_int(0), default=20000)
     v.add_argument("--format", default="table", choices=["table", "csv", "json"])
-    v.set_defaults(func=_dispatch_verify)
+    v.set_defaults(func=cmd_verify)
 
     a = sub.add_parser("asymptotics", help="exact counts vs divisor-sum main terms")
     a.add_argument("--which", required=True,
@@ -703,16 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_contour)
 
     return p
-
-
-def _dispatch_verify(args) -> int:
-    if args.tol is None:
-        args.tol = {"lemma4_1": 1e-8, "lemma4_2": 1e-6, "lemma5_1": 1e-6,
-                    "lemma5_4": 1e-8}.get(args.name, 1e-8)
-    if args.name in ("lemma4_1", "lemma4_2"):
-        args.N = min(args.N, 20)
-        args.k_max = min(args.k_max, 6)
-    return cmd_verify(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -75,12 +75,11 @@ class PolygonalInstance:
     """A weighted sum of four m-gonal numbers.
 
     The weight vector is normalized to non-increasing order (counting is
-    symmetric under permutations); the order as given is kept for reporting.
+    symmetric under permutations).
     """
 
     m: int
     alpha: tuple[int, int, int, int]
-    alpha_input: tuple[int, int, int, int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.m < 3:
@@ -88,7 +87,6 @@ class PolygonalInstance:
         alpha = tuple(int(a) for a in self.alpha)
         if len(alpha) != 4 or any(a < 1 for a in alpha):
             raise ValueError(f"alpha must be four positive integers, got {self.alpha}")
-        object.__setattr__(self, "alpha_input", alpha)
         object.__setattr__(self, "alpha", tuple(sorted(alpha, reverse=True)))
 
     @property
@@ -108,7 +106,6 @@ class CongruenceInstance:
     M: int
     alpha: tuple[int, int, int, int]
     lower_bound: int | None = None
-    r_input: int = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.M < 1:
@@ -117,7 +114,6 @@ class CongruenceInstance:
         if len(alpha) != 4 or any(a < 1 for a in alpha):
             raise ValueError(f"alpha must be four positive integers, got {self.alpha}")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "r_input", int(self.r))
         object.__setattr__(self, "r", int(self.r) % self.M)
 
     @property

@@ -146,6 +146,8 @@ def verify_theta_split(order: int = 200) -> ThetaSplitReport:
     independent integer computations; the comparison is 3*s = 2*e + c with
     everything integral.
     """
+    if order < 1:
+        raise ValueError(f"need order >= 1, got {order}")
     inst = CongruenceInstance(r=5, M=6, alpha=(1, 1, 1, 1))
     s_star = squares_count_table(inst, order - 1)
     eta4 = eta_power(24, 4, order)

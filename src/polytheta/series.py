@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import POSITIVE, PolygonalInstance, count_polygonal
+from .counting import (ALL_INTEGERS, POSITIVE, PolygonalInstance, count_polygonal,
+                       polygonal_count_table)
 from .qseries import QSeries, Rational
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "f_J_series",
     "c_coefficient",
     "rplus_generating_check",
+    "index_identity_check",
 ]
 
 FULL_J = frozenset({1, 2, 3, 4})
@@ -147,6 +149,8 @@ def decomposition_check(r: int, M: int, alpha: tuple[int, int, int, int],
     """
     if not (0 < r < 2 * M):
         raise ValueError(f"need 0 < r < 2M, got r={r}, M={M}")
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     truncation = Fraction(n_max + 1, 2 * M)
     lhs = partial_theta_series(r, 2 * M, alpha, truncation)
     thetas = [theta_series(r, 2 * M, truncation, scale=2 * a) for a in alpha]
@@ -208,6 +212,8 @@ def rplus_generating_check(m: int, alpha: tuple[int, int, int, int],
     """
     if m < 5:
         raise ValueError(f"need m >= 5, got {m}")
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     inst = PolygonalInstance(m=m, alpha=tuple(alpha))
     lhs = QSeries(1, n_max + 1,
                   {n: count_polygonal(inst, n, POSITIVE) for n in range(n_max + 1)})
@@ -218,3 +224,22 @@ def rplus_generating_check(m: int, alpha: tuple[int, int, int, int],
     rhs = theta_plus.substitute(Fraction(1, 4)).shift(-shift)
     ok, where = lhs.agree(rhs)
     return IdentityReport(ok, where, min(lhs.truncation, rhs.truncation))
+
+
+def index_identity_check(m: int, alpha: tuple[int, int, int, int],
+                         n_max: int) -> IdentityReport:
+    """Check that the unrestricted m-gonal counts r*(n) are the coefficients
+    of the J-full product series for (r, M) = (m, m - 2) at the completed-
+    square indices 4 (n - sum(alpha)), exactly for all n <= n_max.
+    """
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    inst = PolygonalInstance(m=m, alpha=tuple(alpha))
+    asum = inst.alpha_sum
+    fj = f_J_series(m, m - 2, alpha, FULL_J, 4 * (n_max - asum))
+    table = polygonal_count_table(inst, n_max, ALL_INTEGERS)
+    checked = Fraction(n_max + 1)
+    for n in range(n_max + 1):
+        if fj.coeff(4 * (n - asum)) != int(table[n]):
+            return IdentityReport(False, Fraction(n), checked)
+    return IdentityReport(True, None, checked)

@@ -2,6 +2,11 @@
 (run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete).
 
+Criteria 3-7 and 10 take their grids, comparison loops and family tables
+from ``polytheta.checks``, the ledger that ``polytheta verify`` and
+``polytheta grid`` run; each bound stays a literal here.  Criteria 4, 5 and
+6a also assert the size of their grid, so shrinking a shared grid fails.
+
 Criterion 10 compares the non-negative counts of three families with their
 divisor-sum main terms sigma(2n+1)/16, sigma(6n+1)/24 and
 -sum_{d | 8n+5} (8/d) d/64.  The corollaries give ratio -> 1 pointwise; they
@@ -19,20 +24,18 @@ about 6 sqrt(n), and where 2n+1 is prime the hexagonal main term drops to
 worst |ratio - 1| over [c/2, c] must shrink by at least 10^(1/4) per decade
 of c, the pointwise form of a residual exponent below 3/4.
 """
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polytheta import analytic as an
-from polytheta import arith, circle, modforms, series
+from polytheta import arith, checks, circle, modforms, series
+from polytheta.checks import FAMILIES
 from polytheta.counting import (ALL_INTEGERS, NON_NEGATIVE,
                                 CongruenceInstance, PolygonalInstance,
                                 count_polygonal, polygonal_count_table,
                                 squares_count_table)
-from polytheta.farey import arcs, rho_congruence
 
 
 def report(cid: str, ok: bool, detail: str) -> bool:
@@ -77,28 +80,20 @@ def test_criterion_02_sixteen_term_decomposition():
 def test_criterion_03_index_identities():
     t0 = time.time()
     ok = True
-    details = []
+    alpha = (1, 1, 1, 1)
     for m in (5, 6, 7):
-        alpha = (1, 1, 1, 1)
-        asum = sum(alpha)
         # generating identity for the all-positive counts
         ok &= series.rplus_generating_check(m, alpha, 200).ok
         # unrestricted counts through the J-full product series
-        fj = series.f_J_series(m, m - 2, alpha, series.FULL_J,
-                               4 * (200 - asum))
-        inst = PolygonalInstance(m=m, alpha=alpha)
-        tab = polygonal_count_table(inst, 200, ALL_INTEGERS)
-        ok &= all(fj.coeff(4 * (n - asum)) == int(tab[n])
-                  for n in range(201))
-        # one-sided square counts through shifted indices
-        fj1 = series.f_J_series(1, 2, alpha, series.FULL_J, 200)
-        free = CongruenceInstance(r=1, M=4, alpha=alpha)
-        stab = squares_count_table(free, 4 * 200 + asum)
-        ok &= all(fj1.coeff(n) == int(stab[4 * n + asum])
-                  for n in range(201))
-        details.append(f"m={m}")
+        ok &= series.index_identity_check(m, alpha, 200).ok
+    # one-sided square counts through shifted indices
+    fj1 = series.f_J_series(1, 2, alpha, series.FULL_J, 200)
+    free = CongruenceInstance(r=1, M=4, alpha=alpha)
+    stab = squares_count_table(free, 4 * 200 + sum(alpha))
+    ok &= all(fj1.coeff(n) == int(stab[4 * n + sum(alpha)])
+              for n in range(201))
     assert report("3", ok,
-                  f"index identities exact to n <= 200 for {details} "
+                  f"index identities exact to n <= 200 for m = 5, 6, 7 "
                   f"({time.time() - t0:.1f}s)")
 
 
@@ -106,41 +101,18 @@ def test_criterion_03_index_identities():
 
 def test_criterion_04_farey_structure():
     t0 = time.time()
-    ok = True
-    for N in range(1, 201):
-        all_arcs = arcs(N)
-        by_frac = {(a.h, a.k): a for a in all_arcs}
-        total = Fraction(0)
-        for a in all_arcs:
-            # adjacency determinants (also enforced at construction)
-            ok &= a.h * a.k1 - a.h1 * a.k == 1
-            ok &= a.h2 * a.k - a.h * a.k2 == 1
-            ok &= 1 <= a.rho1 <= a.k and 1 <= a.rho2 <= a.k
-            ok &= rho_congruence(a.h, a.k, N) == a.rho1
-            if a.k > 1:
-                ok &= a.rho2 == by_frac[(a.k - a.h, a.k)].rho1
-            total += a.measure
-        ok &= total == 1
-        if not ok:
-            break
+    checked, failure = checks.farey_structure(
+        200, ("determinants", "rho_range", "congruence", "reflection", "measure"))
+    # sum over N <= 200 of |F_N|: every order is walked
+    ok = failure is None and checked == 822_855
     assert report("4", ok,
                   f"determinants, measure completeness, reflection and the "
                   f"congruence characterization hold for all N <= 200 "
+                  f"({checked} arcs, first failure {failure}) "
                   f"({time.time() - t0:.1f}s)")
 
 
 # -- 5 -----------------------------------------------------------------------
-
-GRID_CONFIGS = [(1, 2, 1), (5, 4, 1), (3, 4, 2), (5, 6, 1)]
-
-
-def _grid_points(k_max: int, N: int):
-    for arc in arcs(N):
-        if arc.k > k_max:
-            continue
-        for phi in (-float(arc.theta_left), 0.0, float(arc.theta_right)):
-            yield arc.h, arc.k, arc.k * (1.0 / N**2 - 1j * phi)
-
 
 # At a handful of cusps the theta value vanishes identically; the direct and
 # transformed sums then both cancel O(1) terms down to ~1e-15 and a ratio of
@@ -149,34 +121,27 @@ def _grid_points(k_max: int, N: int):
 # precision" (agreement asserted absolutely against the floor) from
 # resolvable values (agreement asserted relatively).
 ZERO_FLOOR = 1e-5
-_rel_err = an.resolved_relative_error
 
 
 def test_criterion_05_transformation_grids():
     t0 = time.time()
-    worst_theta = 0.0
-    worst_false = 0.0
-    smallest_resolved = math.inf
-    for (r, M, aj) in GRID_CONFIGS:
-        for h, k, z in _grid_points(10, 20):
-            d = an.theta_eval_direct_arc(r, 2 * M, 2 * aj, h, k, z)
-            t = an.theta_eval_transformed(r, M, aj, h, k, z)
-            worst_theta = max(worst_theta, _rel_err(d, t))
-            if abs(d) > ZERO_FLOOR:
-                smallest_resolved = min(smallest_resolved, abs(d))
-            d = an.false_theta_eval_direct_arc(r, M, 2 * aj, h, k, z)
-            t = an.false_theta_eval_transformed(r, M, aj, h, k, z)
-            worst_false = max(worst_false, _rel_err(d, t))
-            if abs(d) > ZERO_FLOOR:
-                smallest_resolved = min(smallest_resolved, abs(d))
-    ok = worst_theta <= 1e-8 and worst_false <= 1e-6 and \
-        smallest_resolved > 10 * ZERO_FLOOR
+    pairs = {kind: [(d, t) for *_, d, t in
+                    checks.transformation_pairs(kind, 10, 20)]
+             for kind in ("lemma4_1", "lemma4_2")}
+    worst = {kind: max(an.resolved_relative_error(d, t) for d, t in p)
+             for kind, p in pairs.items()}
+    smallest_resolved = min(abs(d) for p in pairs.values() for d, _ in p
+                            if abs(d) > ZERO_FLOOR)
+    # 32 arcs with k <= 10 at N = 20, 3 offsets, 4 configs
+    sizes = [len(p) for p in pairs.values()]
+    ok = sizes == [384, 384] and worst["lemma4_1"] <= 1e-8 and \
+        worst["lemma4_2"] <= 1e-6 and smallest_resolved > 10 * ZERO_FLOOR
     assert report("5", ok,
                   f"direct vs transformed on k<=10, N=20, 3 offsets, 4 "
-                  f"configs: theta {worst_theta:.2e} (tol 1e-8), "
-                  f"sign-weighted {worst_false:.2e} (tol 1e-6); smallest "
-                  f"resolved magnitude {smallest_resolved:.1e} "
-                  f"({time.time() - t0:.1f}s)")
+                  f"configs ({sizes} pairs): theta {worst['lemma4_1']:.2e} "
+                  f"(tol 1e-8), sign-weighted {worst['lemma4_2']:.2e} (tol "
+                  f"1e-6); smallest resolved magnitude "
+                  f"{smallest_resolved:.1e} ({time.time() - t0:.1f}s)")
 
 
 # -- 6 -----------------------------------------------------------------------
@@ -184,40 +149,18 @@ def test_criterion_05_transformation_grids():
 def test_criterion_06_quadrature_oracles():
     t0 = time.time()
     # 6a: split decomposition vs direct principal-value quadrature
-    worst_pv = 0.0
-    for (mu, M, aj, k, N, frac) in [(1, 1, 1, 1, 6, 0.0), (2, 2, 1, 3, 10, 0.5),
-                                    (5, 2, 1, 3, 10, -0.5), (-3, 1, 2, 2, 8, 0.25),
-                                    (8, 4, 1, 5, 12, 0.9), (-7, 2, 3, 4, 9, -0.8)]:
-        z = k * (1.0 / N**2 - 1j * frac / (k * N))
-        p = an.PVIntegralParams(mu=mu, M=M, alpha_j=aj, k=k, z=z)
-        split, direct = an.pv_integral(p), an.pv_integral_direct(p)
-        worst_pv = max(worst_pv, abs(split - direct) / abs(direct))
-    ok_pv = worst_pv <= 1e-6
+    rel_pv = [abs(split - direct) / abs(direct)
+              for _, split, direct in checks.pv_pairs()]
+    worst_pv = max(rel_pv)
+    ok_pv = len(rel_pv) == 6 and worst_pv <= 1e-6
 
     # 6b: integration-by-parts recursion residual
-    worst_rec = 0.0
-    for d in (1, 2, 3):
-        for A in (1.0, 5.0, 20.0):
-            for sign in (1, -1):
-                for z in (1.0 + 0j, 0.8 + 0.3j, 0.6 - 0.25j):
-                    worst_rec = max(worst_rec,
-                                    an.j_recursion_residual(d, sign, A, z))
+    worst_rec = checks.recursion_residual()
     ok_rec = worst_rec <= 1e-8
 
-    # 6c: closed main terms at A >= 25 within their remainder envelopes
-    ok_main = True
-    for A in (25.0, 50.0, 100.0):
-        for z in (1.0 + 0j, 0.8 + 0.3j, 0.5 - 0.2j):
-            rez = abs(z) * (1 / z).real
-            envelope = math.sqrt(math.pi * A) * math.exp(-A * rez / 4) / \
-                math.sqrt(rez)
-            main0 = 2 * np.sqrt(np.pi * A * abs(z) / z)
-            ok_main &= abs(an.j_integral(0, -1, A, z) - main0) <= envelope * 1.01
-            ok_main &= abs(an.j_integral(0, 1, A, z)) <= envelope * 1.01
-            main1 = np.sqrt(np.pi * z / (A * abs(z)))
-            budget = 2.0 * A ** (-1.5) + envelope
-            ok_main &= abs(an.j_integral(1, -1, A, z) - main1) <= budget
-            ok_main &= abs(an.j_integral(1, 1, A, z)) <= budget
+    # 6c: closed main terms at A >= 25 within their remainder allowances
+    worst_main = checks.main_term_excess()
+    ok_main = worst_main <= 1.0
 
     # 6d: the 1/mu main term of the principal-value integral: relative error
     # decreasing over doublings of mu at fixed (k, z)
@@ -233,29 +176,19 @@ def test_criterion_06_quadrature_oracles():
     ok = ok_pv and ok_rec and ok_main and ok_asym
     assert report("6", ok,
                   f"pv split-vs-direct {worst_pv:.2e} (tol 1e-6); recursion "
-                  f"residual {worst_rec:.2e} (tol 1e-8); main terms within "
-                  f"envelopes: {ok_main}; 1/mu error decreasing: {ok_asym} "
-                  f"({time.time() - t0:.1f}s)")
+                  f"residual {worst_rec:.2e} (tol 1e-8); main-term remainder "
+                  f"over allowance {worst_main:.2f} (tol 1); 1/mu error "
+                  f"decreasing: {ok_asym} ({time.time() - t0:.1f}s)")
 
 
 # -- 7 -----------------------------------------------------------------------
 
 def test_criterion_07_cotangent_approximation():
     t0 = time.time()
-    ok = True
-    details = []
-    for (M, k) in ((2, 3), (4, 5)):
-        N = 4 * k
-        z = k * (1.0 / N**2 - 1j * 0.4 / (k * N))
-        dists = [abs(an.nu_sum(ell, M, 1, k, z)
-                     - an.cot_main_term(ell, M, 1, k, z))
-                 for ell in range(1, M * k + 1)]
-        third = max(1, len(dists) // 3)
-        w1 = float(np.mean(dists[:third]))
-        w2 = float(np.mean(dists[third:2 * third]))
-        w3 = float(np.mean(dists[-third:]))
-        ok &= w3 < w2 < w1
-        details.append(f"(M,k)=({M},{k}): {w1:.2e} > {w2:.2e} > {w3:.2e}")
+    means = checks.cotangent_window_means()
+    ok = all(w3 < w2 < w1 for _, _, (w1, w2, w3) in means)
+    details = [f"(M,k)=({M},{k}): {w1:.2e} > {w2:.2e} > {w3:.2e}"
+               for M, k, (w1, w2, w3) in means]
     assert report("7", ok, "; ".join(details) + f" ({time.time() - t0:.1f}s)")
 
 
@@ -316,44 +249,26 @@ def test_criterion_09_exact_eisenstein_identities():
 
 NMAX_SWEEP = 100_000
 
-FAMILIES = {
-    "hexagonal": PolygonalInstance(m=6, alpha=(1, 1, 1, 1)),
-    "pentagonal": PolygonalInstance(m=5, alpha=(1, 1, 1, 1)),
-    "hexagonal2": PolygonalInstance(m=6, alpha=(1, 1, 1, 2)),
-}
-
-
-def _family_tables():
-    counts = {fam: polygonal_count_table(inst, NMAX_SWEEP, NON_NEGATIVE)
-              for fam, inst in FAMILIES.items()}
-    sig2 = arith.sigma_table(2 * NMAX_SWEEP + 1)
-    sig6 = arith.sigma_table(6 * NMAX_SWEEP + 1)
-    tw8 = arith.twisted8_table(8 * NMAX_SWEEP + 5)
-    mains = {
-        "hexagonal": sig2[1:2 * NMAX_SWEEP + 2:2].astype(float) / 16.0,
-        "pentagonal": sig6[1:6 * NMAX_SWEEP + 2:6].astype(float) / 24.0,
-        "hexagonal2": -tw8[5:8 * NMAX_SWEEP + 6:8].astype(float) / 64.0,
-    }
-    return counts, mains
-
-
 @pytest.fixture(scope="module")
 def family_tables():
-    return _family_tables()
+    counts = {fam: polygonal_count_table(inst, NMAX_SWEEP, NON_NEGATIVE)
+              for fam, inst in FAMILIES.items()}
+    mains = {fam: checks.main_term_table(fam, NMAX_SWEEP) for fam in FAMILIES}
+    return counts, mains
 
 
 def test_criterion_10_counts_cross_checked(family_tables):
     # guard for the sweep itself: the unrestricted hexagonal count equals
-    # sigma(2n+1) exactly, tying the table machinery to an independent
-    # divisor-sum computation over the whole range
+    # sigma(2n+1) = 16 times the hexagonal main term exactly (integers below
+    # 2^53), tying the table machinery to an independent divisor-sum
+    # computation over the whole range
     t0 = time.time()
+    counts, mains = family_tables
     rstar = polygonal_count_table(FAMILIES["hexagonal"], NMAX_SWEEP,
                                   ALL_INTEGERS)
-    sig2 = arith.sigma_table(2 * NMAX_SWEEP + 1)
-    ok = bool((rstar == sig2[1:2 * NMAX_SWEEP + 2:2]).all())
+    ok = bool((rstar == 16 * mains["hexagonal"]).all())
     # the non-negative tables behind 10a-10d, checked against the per-index
     # counter where each family's ratio to its main term is furthest from 1
-    counts, mains = family_tables
     lo = NMAX_SWEEP // 2
     spots = []
     for fam, inst in FAMILIES.items():
@@ -429,11 +344,8 @@ def test_criterion_10b_window_means_approach_one(family_tables):
     ok = True
     details = []
     for fam in FAMILIES:
-        devs = []
-        for c in (100, 1000, 10_000, 100_000):
-            lo = int(0.8 * c)
-            ratio = counts[fam][lo:c + 1].astype(float) / mains[fam][lo:c + 1]
-            devs.append(abs(float(ratio.mean()) - 1.0))
+        devs = checks.window_mean_deviations(counts[fam], mains[fam])
+        ok &= len(devs) == 4
         ok &= all(b < a for a, b in zip(devs, devs[1:]))
         details.append(fam + ": " + " > ".join(f"{d:.4f}" for d in devs))
     assert report("10b-window-means", ok, "; ".join(details))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polytheta import analytic as an
+from polytheta import checks
 from polytheta.farey import arcs
 
 
@@ -142,14 +143,8 @@ def test_transformed_requires_coprime():
 # principal-value integral
 # ---------------------------------------------------------------------------
 
-PV_CASES = [
-    (1, 1, 1, 1, arc_z(1, 6, 0.0)),
-    (2, 2, 1, 3, arc_z(3, 10, 0.5)),
-    (5, 2, 1, 3, arc_z(3, 10, -0.5)),
-    (-3, 1, 2, 2, arc_z(2, 8, 0.25)),
-    (8, 4, 1, 5, arc_z(5, 12, 0.9)),
-    (-7, 2, 3, 4, arc_z(4, 9, -0.8)),
-]
+PV_CASES = [(mu, M, aj, k, arc_z(k, N, frac))
+            for mu, M, aj, k, N, frac in checks.PV_GRID]
 
 
 @pytest.mark.parametrize("mu,M,aj,k,z", PV_CASES)
@@ -236,10 +231,7 @@ def test_j_trivial_bound_holds():
 
 
 def test_j_recursion_residual_small():
-    for d in (1, 2, 3):
-        for A in (1.0, 5.0, 20.0):
-            for sign in (1, -1):
-                assert an.j_recursion_residual(d, sign, A, 0.9 + 0.35j) < 1e-8
+    assert checks.recursion_residual() < 1e-8
 
 
 def test_j0_main_term_with_envelope():
@@ -324,12 +316,7 @@ def test_partial_fraction_cotangent():
 
 
 def test_nu_sum_cot_distance_shrinks():
-    M, aj, k = 2, 1, 3
-    z = arc_z(k, 12, 0.4)
-    dists = [abs(an.nu_sum(ell, M, aj, k, z) - an.cot_main_term(ell, M, aj, k, z))
-             for ell in range(1, M * k + 1)]
-    third = len(dists) // 3
-    assert np.mean(dists[-third:]) < np.mean(dists[:third])
+    assert all(w3 < w1 for _, _, (w1, _, w3) in checks.cotangent_window_means())
 
 
 def test_nu_sum_batch_matches_scalar():

@@ -62,6 +62,13 @@ def test_count_table_format(capsys):
     ["verify", "lemma4_1", "--N", "0"],
     ["verify", "cor1_2", "--nmax", "-3"],
     ["grid", "lemma4_1", "--N", "0"],
+    ["verify", "lemma2_3", "--M", "0"],
+    ["verify", "lemma2_2", "--m", "2"],
+    ["verify", "lemma2_3", "--order", "-5"],
+    ["verify", "lemma4_1", "--k-max", "0"],
+    ["verify", "cor1_2", "--nmax", "0"],
+    ["verify", "cor1_2", "--nmax", "500"],  # a single window shows no trend
+    ["grid", "lemma4_1", "--k-max", "0"],
 ])
 def test_count_bad_input_exits_2_without_traceback(capsys, argv):
     try:
@@ -97,6 +104,11 @@ def test_verify_known_names_cover_spec_list():
     ("theta_split", ["--order", "200"]),
     ("lemma5_4", []),
     ("lemma5_5", []),
+    ("lemma4_2", ["--N", "8", "--k-max", "4"]),
+    ("lemma5_8", []),
+    ("cor1_2", ["--nmax", "2000"]),
+    ("cor1_3", ["--nmax", "2000"]),
+    ("cor1_4", ["--nmax", "2000"]),
 ])
 def test_verify_fast_identities_pass(capsys, name, args):
     code, out = run_cli(capsys, "verify", name, "--format", "json", *args)

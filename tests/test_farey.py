@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from polytheta.arith import euler_phi
+from polytheta.checks import FAREY_PROPERTIES, farey_structure
 from polytheta.farey import arcs, farey_sequence, rho_congruence
 
 
@@ -46,10 +48,7 @@ def test_measures_sum_to_one_exactly():
 
 
 def test_rho_bounds():
-    for N in range(1, 61):
-        for a in arcs(N):
-            assert 1 <= a.rho1 <= a.k
-            assert 1 <= a.rho2 <= a.k
+    assert farey_structure(60, ("rho_range",))[1] is None
 
 
 def test_mediant_of_adjacent_exceeds_order():
@@ -89,19 +88,22 @@ def test_rho_mirror_congruence_is_right_neighbor():
 
 def test_rho_equals_left_neighbor_rho_exhaustive():
     # congruence characterization vs the neighbor formula, all orders <= 200
-    for N in range(1, 201):
-        for a in arcs(N):
-            assert rho_congruence(a.h, a.k, N) == a.rho1, (N, a.h, a.k)
+    assert farey_structure(200, ("congruence",))[1] is None
 
 
 def test_reflection_swaps_neighbor_roles():
-    for N in range(1, 121):
-        by_frac = {(a.h, a.k): a for a in arcs(N)}
-        for a in by_frac.values():
-            if a.k == 1:
-                continue
-            mirror = by_frac[(a.k - a.h, a.k)]
-            assert a.rho2 == mirror.rho1
+    assert farey_structure(120, ("reflection",))[1] is None
+
+
+def test_structure_properties_reject_corrupted_arcs():
+    # the shared walk must not pass vacuously: relabelling the arc 1/7 of
+    # order 9 (neighbours 1/8, 1/6) as order 15 moves its rho values to 0
+    # and -2, and dropping an arc leaves a gap in the circle
+    order9 = arcs(9)
+    order9[3] = replace(order9[3], N=15)
+    for name in ("rho_range", "congruence", "reflection"):
+        assert FAREY_PROPERTIES[name](order9) is order9[3], name
+    assert FAREY_PROPERTIES["measure"](arcs(9)[1:]) is not None
 
 
 def test_wraparound_neighbors():

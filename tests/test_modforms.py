@@ -5,6 +5,7 @@ import pytest
 
 from polytheta import modforms as mf
 from polytheta.arith import divisor_sigma, phi_table, twisted8_table
+from polytheta.checks import FAMILIES, main_term_table
 from polytheta.circle import error_exponent_fit
 from polytheta.qseries import QSeries
 
@@ -147,6 +148,19 @@ def test_corollary_main_terms():
         mf.corollary_main_terms("square", 1)
     with pytest.raises(ValueError):
         mf.corollary_main_terms("hexagonal", -1)
+
+
+def test_main_term_table_matches_per_index_main_terms():
+    # the per-index divisor sums are the oracle for the sieved table
+    rng = np.random.default_rng(0)
+    sample = sorted(int(n) for n in rng.integers(0, 100_001, size=100))
+    for fam in FAMILIES:
+        small, large = main_term_table(fam, 300), main_term_table(fam, 100_000)
+        assert len(small) == 301 and len(large) == 100_001
+        assert all(small[n] == float(mf.corollary_main_terms(fam, n))
+                   for n in range(301)), fam
+        assert all(large[n] == float(mf.corollary_main_terms(fam, n))
+                   for n in sample), fam
 
 
 def test_twisted_main_term_positive_via_phi():
