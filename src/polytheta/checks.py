@@ -130,7 +130,7 @@ def _reflection_failure(arcs):
 
 # each property maps the arcs of one order to its first failing arc, or None
 FAREY_PROPERTIES = {
-    # adjacency determinants (also enforced at construction)
+    # adjacency determinants h k1 - h1 k = h2 k - h k2 = 1
     "determinants": lambda arcs: next(
         (a for a in arcs
          if a.h * a.k1 - a.h1 * a.k != 1 or a.h2 * a.k - a.h * a.k2 != 1), None),

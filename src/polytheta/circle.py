@@ -39,7 +39,6 @@ __all__ = [
     "constant_evaluator",
     "TransformTerm",
     "i_nu_contributions",
-    "i_nu_diagnostic",
     "reconstruct_by_nu",
     "ExponentFit",
     "error_exponent_fit",
@@ -255,14 +254,6 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                 out[nu] += coef * (t1[nu[0]] * t2[nu[1]] * t3[nu[2]]
                                    * t4[nu[3]])
     return out
-
-
-def i_nu_diagnostic(r: int, M: int, alpha: tuple[int, int, int, int],
-                    J: frozenset[int] | set[int],
-                    nu: tuple[int, int, int, int], n: int,
-                    nodes: int = 48) -> complex:
-    """The single nu-indexed arc-sum contribution."""
-    return i_nu_contributions(r, M, alpha, J, [tuple(nu)], n, nodes=nodes)[tuple(nu)]
 
 
 def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int],

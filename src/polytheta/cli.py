@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import numpy as np
 
@@ -167,55 +166,20 @@ def cmd_verify(args) -> int:
 # asymptotics
 # ---------------------------------------------------------------------------
 
-def _spot_check_one(task) -> tuple[int, int]:
-    which, n = task
+def _spot_check_one(which: str, n: int) -> int:
     if which == "squares":
         inst = CongruenceInstance(r=1, M=2, alpha=(1, 1, 1, 1), lower_bound=1)
-        return n, counting.count_squares(inst, n)
-    return n, counting.count_polygonal(FAMILIES[which], n, NON_NEGATIVE)
+        return counting.count_squares(inst, n)
+    return counting.count_polygonal(FAMILIES[which], n, NON_NEGATIVE)
 
 
-def _worker_cap(requested: int) -> int:
-    env = os.environ.get("POLYTHETA_WORKERS")
-    cap = int(env) if env else requested
-    return max(1, min(requested, cap))
-
-
-def _run_spot_checks(which: str, table, nmax: int, count: int, seed: int,
-                     workers: int, checkpoint: str | None) -> dict:
+def _run_spot_checks(which: str, table, nmax: int, count: int, seed: int) -> dict:
     """Re-derive a deterministic sample of table entries with the per-index
-    counter, optionally in parallel, with an append-only resume file."""
+    counter."""
     rng = np.random.default_rng(seed)
     upper = min(nmax, 4000)  # per-index counting stays cheap up to here
     ns = sorted(int(n) for n in rng.integers(0, upper + 1, size=count))
-    done: dict[int, int] = {}
-    if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint, newline="") as fh:
-            for row in csv.DictReader(fh):
-                done[int(row["n"])] = int(row["count"])
-    todo = [n for n in ns if n not in done]
-    results: dict[int, int] = dict(done)
-    workers = _worker_cap(workers)
-    if workers > 1 and len(todo) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            for n, val in ex.map(_spot_check_one, [(which, n) for n in todo]):
-                results[n] = val
-    else:
-        for task in [(which, n) for n in todo]:
-            n, val = _spot_check_one(task)
-            results[n] = val
-    if checkpoint:
-        new = [n for n in todo if n in results]
-        mode = "a" if os.path.exists(checkpoint) else "w"
-        with open(checkpoint, mode, newline="") as fh:
-            writer = csv.writer(fh)
-            if mode == "w":
-                writer.writerow(["n", "count"])
-            for n in sorted(new):
-                writer.writerow([n, results[n]])
-    mismatches = [n for n in ns if results[n] != int(table[n])]
+    mismatches = [n for n in ns if _spot_check_one(which, n) != int(table[n])]
     return {"samples": len(ns), "mismatches": mismatches}
 
 
@@ -258,8 +222,7 @@ def cmd_asymptotics(args) -> int:
     }
     if args.spot_check:
         payload["spot_check"] = _run_spot_checks(
-            args.which, table, args.nmax, args.spot_check, args.seed,
-            args.workers, args.checkpoint)
+            args.which, table, args.nmax, args.spot_check, args.seed)
         if payload["spot_check"]["mismatches"]:
             _emit(args, [], payload)
             return 1
@@ -410,14 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--nmax", type=_bounded_int(0), default=10000)
     a.add_argument("--out", default=None, help="write full CSV here")
     a.add_argument("--max-rows", type=int, default=200, dest="max_rows")
-    a.add_argument("--spot-check", type=int, default=0, dest="spot_check",
+    a.add_argument("--spot-check", type=_bounded_int(0), default=0,
+                   dest="spot_check",
                    help="re-derive this many sampled entries per index")
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--workers", type=int, default=1,
-                   help="process pool size for spot checks "
-                        "(capped by POLYTHETA_WORKERS)")
-    a.add_argument("--checkpoint", default=None,
-                   help="append-only CSV of finished spot checks; reruns resume")
     a.add_argument("--format", default="json", choices=["table", "csv", "json"])
     a.set_defaults(func=cmd_asymptotics)
 
@@ -440,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--M", type=_bounded_int(1), default=2)
     s.add_argument("--alpha", type=_parse_alpha, default=(1, 1, 1, 1))
     s.add_argument("--J", type=_parse_J, default=frozenset({1, 2, 3, 4}))
-    s.add_argument("--scale", type=int, default=1)
+    s.add_argument("--scale", type=_bounded_int(1), default=1)
     s.add_argument("--order", type=int, default=20,
                    help="exponent truncation (integer count bound for fJ)")
     s.set_defaults(func=cmd_series)

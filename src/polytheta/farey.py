@@ -8,16 +8,20 @@ are exact rationals, so measure bookkeeping is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 __all__ = ["FareyArc", "farey_sequence", "arcs", "rho_congruence"]
 
 
-@dataclass(frozen=True)
-class FareyArc:
-    """A reduced fraction h/k of order N with its two circular neighbors."""
+class FareyArc(NamedTuple):
+    """A reduced fraction h/k of order N with its two circular neighbors.
+
+    Construction does not check the adjacency determinants
+    h k1 - h1 k = h2 k - h k2 = 1; ``checks.FAREY_PROPERTIES["determinants"]``
+    does.
+    """
 
     h: int
     k: int
@@ -26,12 +30,6 @@ class FareyArc:
     h2: int  # right neighbor h2/k2
     k2: int
     N: int
-
-    def __post_init__(self) -> None:
-        if self.h * self.k1 - self.h1 * self.k != 1:
-            raise ValueError(f"left adjacency determinant violated for {self}")
-        if self.h2 * self.k - self.h * self.k2 != 1:
-            raise ValueError(f"right adjacency determinant violated for {self}")
 
     @property
     def theta_left(self) -> Fraction:
@@ -75,20 +73,11 @@ def farey_sequence(N: int) -> list[tuple[int, int]]:
 def arcs(N: int) -> list[FareyArc]:
     """All order-N arcs, in sequence order, with circular neighbor data."""
     seq = farey_sequence(N)
-    n = len(seq)
-    out = []
-    for i, (h, k) in enumerate(seq):
-        if i > 0:
-            h1, k1 = seq[i - 1]
-        else:
-            hl, kl = seq[-1] if n > 1 else (0, 1)
-            h1, k1 = hl - kl, kl  # (N-1)/N one turn down; -1/1 when N = 1
-        if i + 1 < n:
-            h2, k2 = seq[i + 1]
-        else:
-            h2, k2 = 1, 1
-        out.append(FareyArc(h=h, k=k, h1=h1, k1=k1, h2=h2, k2=k2, N=N))
-    return out
+    hl, kl = seq[-1]
+    left = [(hl - kl, kl)] + seq[:-1]  # (N-1)/N one turn down; -1/1 when N = 1
+    right = seq[1:] + [(1, 1)]
+    return [FareyArc(h, k, h1, k1, h2, k2, N)
+            for (h, k), (h1, k1), (h2, k2) in zip(seq, left, right)]
 
 
 def rho_congruence(h: int, k: int, N: int) -> int:

@@ -6,7 +6,8 @@ Conventions (q-exponents, all exact rationals):
 * ``theta_series(r, M)``:        sum over nu = r (mod M) of q^(nu^2 / (2M))
 * ``false_theta_series(r, M)``:  sum over nu = r (mod 2M) of sgn(nu) q^(nu^2 / (4M))
 * ``partial_theta_series``:      generating series of the one-sided square
-  counts s_{r,M,alpha}(n) at q^(n/M)  (coordinates x_j >= 1)
+  counts s_{r,M,alpha}(n) at q^(n/M)  (coordinates x_j >= 1), read off
+  ``counting.squares_count_table``
 * ``star_theta_series``:         same with unrestricted sign (the s* counts)
 * ``f_J_series``:                q^(-r^2 sum(alpha) / (2M)) times a product of
   theta factors (j in J) and false-theta factors (j not in J), all at 2 alpha_j
@@ -20,14 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import (ALL_INTEGERS, POSITIVE, PolygonalInstance, count_polygonal,
-                       polygonal_count_table)
+import numpy as np
+
+from .counting import (ALL_INTEGERS, POSITIVE, CongruenceInstance,
+                       PolygonalInstance, count_polygonal, polygonal_count_table,
+                       squares_count_table)
 from .qseries import QSeries, Rational
 
 __all__ = [
     "theta_series",
     "false_theta_series",
-    "one_sided_square_series",
     "partial_theta_series",
     "star_theta_series",
     "IdentityReport",
@@ -48,8 +51,8 @@ def _order_index(truncation: Rational, D: int) -> int:
 
 def theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> QSeries:
     """Exact expansion of the two-sided theta sum at argument scale * tau."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    if M < 1 or scale < 1:
+        raise ValueError(f"need M >= 1 and scale >= 1, got M={M}, scale={scale}")
     r %= M
     D = 2 * M
     order = _order_index(truncation, D)
@@ -65,8 +68,8 @@ def theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> QSerie
 
 def false_theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> QSeries:
     """Exact expansion of the sign-weighted theta sum at argument scale * tau."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    if M < 1 or scale < 1:
+        raise ValueError(f"need M >= 1 and scale >= 1, got M={M}, scale={scale}")
     r %= 2 * M
     D = 4 * M
     order = _order_index(truncation, D)
@@ -82,47 +85,28 @@ def false_theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> 
     return QSeries(D, order, terms)
 
 
-def one_sided_square_series(r: int, M: int, alpha_j: int,
-                            truncation: Rational, lower: int | None = 1) -> QSeries:
-    """sum over x = r (mod M), x >= lower (all x if lower is None), of
-    q^(alpha_j x^2 / M)."""
-    r %= M
-    D = M
-    order = _order_index(truncation, D)
-    terms: dict[int, int] = {}
-    xmax = 0
-    while alpha_j * (xmax + 1) ** 2 < order:
-        xmax += 1
-    low = -xmax if lower is None else lower
-    x = low + ((r - low) % M)
-    while x <= xmax:
-        idx = alpha_j * x * x
-        if idx < order:
-            terms[idx] = terms.get(idx, 0) + 1
-        x += M
-    return QSeries(D, order, terms)
-
-
-def _product_square_series(r: int, M: int, alpha: tuple[int, ...],
-                           truncation: Rational, lower: int | None) -> QSeries:
-    out = None
-    for a in alpha:
-        f = one_sided_square_series(r, M, a, truncation, lower)
-        out = f if out is None else (out * f).truncate(truncation)
-    return out
+def _square_count_series(r: int, M: int, alpha: tuple[int, int, int, int],
+                         truncation: Rational, lower: int | None) -> QSeries:
+    order = _order_index(truncation, M)
+    # QSeries products of the four one-variable factors, each known below a
+    # negative index, are known only below four times it; keep that order
+    order = min(order, 4 * order)
+    table = squares_count_table(
+        CongruenceInstance(r, M, alpha, lower_bound=lower), max(order - 1, -1))
+    return QSeries(M, order, {int(i): int(table[i]) for i in np.flatnonzero(table)})
 
 
 def partial_theta_series(r: int, M: int, alpha: tuple[int, int, int, int],
                          truncation: Rational) -> QSeries:
     """Generating series of the one-sided counts: coefficient at q^(n/M) is
     the number of x with x_j = r (mod M), x_j >= 1, sum alpha_j x_j^2 = n."""
-    return _product_square_series(r, M, tuple(alpha), truncation, lower=1)
+    return _square_count_series(r, M, alpha, truncation, lower=1)
 
 
 def star_theta_series(r: int, M: int, alpha: tuple[int, int, int, int],
                       truncation: Rational) -> QSeries:
     """Generating series of the unrestricted counts (x in Z^4)."""
-    return _product_square_series(r, M, tuple(alpha), truncation, lower=None)
+    return _square_count_series(r, M, alpha, truncation, lower=None)
 
 
 @dataclass(frozen=True)
@@ -142,10 +126,10 @@ def decomposition_check(r: int, M: int, alpha: tuple[int, int, int, int],
     """Check the sixteen-term split of the one-sided series into theta and
     false-theta products, exactly, for all count indices n <= n_max.
 
-    Left side: the one-sided series for (r, 2M, alpha).  Right side: 1/16
-    times the sum over subsets J of {1,2,3,4} of products of theta factors
-    (j in J) and false-theta factors (j not in J), each at argument
-    2 alpha_j tau.
+    Left side: the one-sided series for (r, 2M, alpha), read off the int64
+    count table.  Right side: 1/16 times the sum over subsets J of {1,2,3,4}
+    of ``QSeries`` products of theta factors (j in J) and false-theta factors
+    (j not in J), each at argument 2 alpha_j tau.
     """
     if not (0 < r < 2 * M):
         raise ValueError(f"need 0 < r < 2M, got r={r}, M={M}")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from polytheta.checks import FAMILIES
 from polytheta.cli import VERIFIERS, main
+from polytheta.counting import NON_NEGATIVE
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,10 @@ def test_count_table_format(capsys):
     ["verify", "cor1_2", "--nmax", "0"],
     ["verify", "cor1_2", "--nmax", "500"],  # a single window shows no trend
     ["grid", "lemma4_1", "--k-max", "0"],
+    ["series", "--kind", "theta", "--scale", "0"],
+    ["series", "--kind", "false-theta", "--scale", "-1"],
+    ["asymptotics", "--which", "pentagonal", "--nmax", "2000",
+     "--spot-check", "-5"],
 ])
 def test_count_bad_input_exits_2_without_traceback(capsys, argv):
     try:
@@ -191,30 +197,33 @@ def test_asymptotics_squares_family(capsys):
     assert all(abs(x - 1) < 0.25 for x in ratios)
 
 
-def test_asymptotics_spot_check_with_checkpoint(tmp_path, capsys):
-    ck = tmp_path / "spot.csv"
+def test_asymptotics_spot_check(capsys):
     code, out = run_cli(capsys, "asymptotics", "--which", "pentagonal",
-                        "--nmax", "2000", "--spot-check", "8",
-                        "--checkpoint", str(ck), "--workers", "2")
+                        "--nmax", "2000", "--spot-check", "8")
     assert code == 0
     data = json.loads(out)
-    assert data["spot_check"]["samples"] == 8
-    assert data["spot_check"]["mismatches"] == []
-    first = ck.read_text()
-    # resumed run reuses the checkpoint rather than appending duplicates
+    assert data["spot_check"] == {"samples": 8, "mismatches": []}
+
+
+def test_spot_check_reports_corrupted_entry(capsys, monkeypatch):
+    # negative control: one wrong table entry at a sampled index is listed
+    # and makes the report exit 1
+    from polytheta import cli, counting
+
+    table = counting.polygonal_count_table(FAMILIES["pentagonal"], 2000,
+                                           NON_NEGATIVE)
+    # a table wrong everywhere lists every sampled index
+    sampled = cli._run_spot_checks("pentagonal", table - 1, 2000, 8, 0)
+    n = sampled["mismatches"][3]
+    bad = table.copy()
+    bad[n] += 1
+    report = cli._run_spot_checks("pentagonal", bad, 2000, 8, 0)
+    assert report["mismatches"] and set(report["mismatches"]) == {n}
+    monkeypatch.setattr(counting, "polygonal_count_table", lambda *args: bad)
     code, out = run_cli(capsys, "asymptotics", "--which", "pentagonal",
-                        "--nmax", "2000", "--spot-check", "8",
-                        "--checkpoint", str(ck))
-    assert code == 0
-    assert ck.read_text() == first
-
-
-def test_worker_cap_env(monkeypatch):
-    from polytheta.cli import _worker_cap
-    monkeypatch.setenv("POLYTHETA_WORKERS", "2")
-    assert _worker_cap(8) == 2
-    monkeypatch.delenv("POLYTHETA_WORKERS")
-    assert _worker_cap(3) == 3
+                        "--nmax", "2000", "--spot-check", "8")
+    assert code == 1
+    assert json.loads(out)["spot_check"] == report
 
 
 def test_farey_dump(capsys):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -100,10 +99,15 @@ def test_structure_properties_reject_corrupted_arcs():
     # order 9 (neighbours 1/8, 1/6) as order 15 moves its rho values to 0
     # and -2, and dropping an arc leaves a gap in the circle
     order9 = arcs(9)
-    order9[3] = replace(order9[3], N=15)
+    order9[3] = order9[3]._replace(N=15)
     for name in ("rho_range", "congruence", "reflection"):
         assert FAREY_PROPERTIES[name](order9) is order9[3], name
     assert FAREY_PROPERTIES["measure"](arcs(9)[1:]) is not None
+    # arcs are not checked at construction, so a wrong neighbour is caught
+    # only by the determinants property
+    skewed = arcs(9)
+    skewed[3] = skewed[3]._replace(h1=skewed[3].h1 + 1)
+    assert FAREY_PROPERTIES["determinants"](skewed) is skewed[3]
 
 
 def test_wraparound_neighbors():

@@ -4,11 +4,11 @@ import pytest
 
 from polytheta.counting import (ALL_INTEGERS, CongruenceInstance,
                                 PolygonalInstance, count_polygonal,
-                                squares_count_table)
+                                count_squares, squares_count_table)
 from polytheta.qseries import QSeries
 from polytheta.series import (FULL_J, c_coefficient, decomposition_check,
                               f_J_series, false_theta_series,
-                              one_sided_square_series, partial_theta_series,
+                              partial_theta_series,
                               rplus_generating_check, star_theta_series,
                               theta_series)
 
@@ -41,6 +41,13 @@ def test_false_theta_explicit_expansion():
     assert not false_theta_series(1, 1, 30).coeffs
 
 
+def test_theta_series_reject_scale_below_one():
+    with pytest.raises(ValueError):
+        theta_series(1, 2, 5, scale=0)
+    with pytest.raises(ValueError):
+        false_theta_series(1, 2, 5, scale=-1)
+
+
 def test_false_theta_vanishing_and_antisymmetry():
     for M in range(1, 13):
         zero0 = false_theta_series(0, M, 8)
@@ -55,13 +62,13 @@ def test_false_theta_vanishing_and_antisymmetry():
 
 
 def test_partial_theta_matches_bruteforce_counts():
+    # the per-index counter, not the table that builds the series
     for (r, M, alpha) in [(1, 4, (1, 1, 1, 1)), (5, 6, (1, 1, 1, 1)),
                           (3, 8, (2, 1, 1, 1))]:
         inst = CongruenceInstance(r=r, M=M, alpha=alpha, lower_bound=1)
-        tab = squares_count_table(inst, 500)
         f = partial_theta_series(r, M, alpha, Fraction(501, M))
         for n in range(501):
-            assert f.coeff(Fraction(n, M)) == int(tab[n]), (r, M, n)
+            assert f.coeff(Fraction(n, M)) == count_squares(inst, n), (r, M, n)
 
 
 def test_partial_theta_odd_modulus_rescaling():
@@ -164,9 +171,11 @@ def test_rplus_generating_identity():
 
 
 def test_one_sided_series_respects_lower_bound():
-    f = one_sided_square_series(5, 6, 1, 30, lower=1)
-    # class members >= 1 are 5, 11, ...: exponents 25/6, 121/6
-    assert f.coeff(Fraction(25, 6)) == 1
-    assert f.coeff(Fraction(1, 6)) == 0
-    g = one_sided_square_series(5, 6, 1, 30, lower=None)
-    assert g.coeff(Fraction(1, 6)) == 1  # x = -1
+    # class 5 (mod 6): x = (-1, -1, -1, -1) gives exponent 4/6 only without
+    # the lower bound, and x = (5, 5, 5, 5) is the one point >= 1 at 100/6
+    alpha = (1, 1, 1, 1)
+    f = partial_theta_series(5, 6, alpha, 30)
+    g = star_theta_series(5, 6, alpha, 30)
+    assert f.coeff(Fraction(4, 6)) == 0
+    assert g.coeff(Fraction(4, 6)) == 1
+    assert f.coeff(Fraction(100, 6)) == 1
