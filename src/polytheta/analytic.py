@@ -13,8 +13,8 @@ Conventions shared by everything below:
 
 The theta sums are evaluated in two ways, each by one kernel:
 
-* direct summation (the four ``*_direct`` and ``*_direct_arc`` evaluators)
-  runs through ``_lattice_sum``, one term-by-term loop for both sum types;
+* direct summation (the two ``*_direct_arc`` evaluators) runs through
+  ``_lattice_sum``, one term-by-term loop for both sum types;
 * the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
   factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
   transformed evaluators sum it over nu; the circle-method nu-decomposition
@@ -28,8 +28,8 @@ Three routes to the principal-value integral are provided:
                              integral + two half-line tails (quadrature);
 * ``pv_integral_direct``  -- symmetric-excision principal-value quadrature of
                              the defining integral (the independent oracle);
-* ``pv_closed_form``      -- Faddeeva-function closed form (fast; used by the
-                             nu-sums and the contour assembly).
+* ``pv_closed_form_batch`` -- Faddeeva-function closed form over an array
+                             of mu (fast; used by the nu-sums).
 
 The first two are kept deliberately independent; tests require them to agree.
 """
@@ -47,19 +47,15 @@ from scipy.special import digamma, wofz, zeta
 from .arith import gauss_sum_table
 
 __all__ = [
-    "ArcPoint",
     "PVIntegralParams",
     "QuadratureError",
     "complex_quad",
-    "theta_eval_direct",
-    "false_theta_eval_direct",
     "theta_eval_direct_arc",
     "false_theta_eval_direct_arc",
     "theta_eval_transformed",
     "false_theta_eval_transformed",
     "pv_integral",
     "pv_integral_direct",
-    "pv_closed_form",
     "pv_closed_form_batch",
     "j_integral",
     "j_trivial_bound",
@@ -88,24 +84,11 @@ def resolved_relative_error(a: complex, b: complex,
     return abs(a - b) / max(abs(a), abs(b), zero_floor)
 
 
-@dataclass(frozen=True)
-class ArcPoint:
-    """A point z = k (1/N^2 - i Phi) on the order-N arc at denominator k."""
-
-    k: int
-    N: int
-    Phi: float
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.N):
-            raise ValueError(f"need 1 <= k <= N, got k={self.k}, N={self.N}")
-
-    @property
-    def z(self) -> complex:
-        return self.k * (1.0 / self.N**2 - 1j * self.Phi)
-
-    def tau(self, h: int) -> complex:
-        return (h + 1j * self.z) / self.k
+def _arc_z(k: int, N: int, Phi: float) -> complex:
+    """The point z = k (1/N^2 - i Phi) on the order-N arc at denominator k."""
+    if not (1 <= k <= N):
+        raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
+    return k * (1.0 / N**2 - 1j * Phi)
 
 
 @dataclass(frozen=True)
@@ -193,28 +176,13 @@ def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z: complex,
     return total
 
 
-def theta_eval_direct(r: int, M: int, scale: int, tau: complex,
-                      tol: float = 1e-15) -> complex:
-    """Two-sided theta sum (exponents nu^2/(2M), class nu = r mod M) at
-    argument scale * tau, by direct summation with a certified Gaussian tail."""
-    if (scale * tau).imag <= 0:
-        raise ValueError(f"need Im(scale*tau) > 0, got {scale * tau}")
-    return _lattice_sum(r, M, scale, 0, 1, -1j * tau, False, tol)
-
-
-def false_theta_eval_direct(r: int, M: int, scale: int, tau: complex,
-                            tol: float = 1e-15) -> complex:
-    """Sign-weighted theta sum (exponents nu^2/(4M), class nu = r mod 2M) at
-    argument scale * tau, by direct summation."""
-    if (scale * tau).imag <= 0:
-        raise ValueError(f"need Im(scale*tau) > 0, got {scale * tau}")
-    return _lattice_sum(r, 2 * M, scale, 0, 1, -1j * tau, True, tol)
-
-
 def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
                           z: complex, tol: float = 1e-16) -> complex:
-    """Same sum as theta_eval_direct at tau = (h + i z)/k, with the rational
-    part of every phase reduced exactly in integer arithmetic."""
+    """Two-sided theta sum (exponents nu^2/(2M), class nu = r mod M) at
+    argument scale * tau, tau = (h + i z)/k, by direct summation with a
+    certified Gaussian tail; the rational part of every phase is reduced
+    exactly in integer arithmetic.  h = 0, k = 1, z = -i tau gives the sum
+    at a plain upper-half-plane point tau."""
     if z.real <= 0:
         raise ValueError(f"need Re z > 0, got z={z}")
     return _lattice_sum(r, M, scale, h, k, z, False, tol)
@@ -222,8 +190,9 @@ def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
 
 def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
                                 z: complex, tol: float = 1e-16) -> complex:
-    """Same sum as false_theta_eval_direct at tau = (h + i z)/k with exact
-    phase reduction."""
+    """Sign-weighted theta sum (exponents nu^2/(4M), class nu = r mod 2M) at
+    argument scale * tau, tau = (h + i z)/k, by direct summation with exact
+    phase reduction; h = 0, k = 1, z = -i tau as for the two-sided sum."""
     if z.real <= 0:
         raise ValueError(f"need Re z > 0, got z={z}")
     return _lattice_sum(r, 2 * M, scale, h, k, z, True, tol)
@@ -260,7 +229,7 @@ def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
 
 
 def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
-                  nu_terms: int) -> complex:
+                  nu_terms: int = 24) -> complex:
     """The off-J nu = 0 entry of the factor: 2 (i/pi) sum_l T(l) S_l over
     the window l in [1-Mk, -1] u [1, Mk], where S_l is the nu-sum of
     principal-value integrals (the factor 2 is the eps-sum at nu = 0)."""
@@ -282,26 +251,34 @@ def _nu_cutoff(M: int, alpha_j: int, k: int, z: complex, tol: float) -> int:
     return nu_max
 
 
-def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
-                           z: complex, tol: float = 1e-18) -> complex:
-    """Gauss-sum expansion of the two-sided theta sum for the class r mod 2M,
-    at argument 2 alpha_j (h + i z)/k.
-
-    Matches theta_eval_direct(r, 2M, 2*alpha_j, (h+iz)/k) up to the Gaussian
-    tail cutoff; cost is O(k) Gauss-sum table setup plus a handful of terms.
-    """
+def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
+                     in_J: bool, nu_terms: int) -> complex:
+    """The prefactor e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k alpha_j z)) times
+    the nu-sum of ``_gauss_factor`` (nu = 0 halved), cut where the Gaussian
+    envelope is below 1e-18; off J the nu = 0 entry is ``_window_entry``."""
     if math.gcd(h, k) != 1:
         raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
         2 * cmath.sqrt(M * k * alpha_j * z))
-    f = _gauss_factor(r, M, alpha_j, h, k, z, True,
-                      _nu_cutoff(M, alpha_j, k, z, tol))
-    return pref * complex(f[0] / 2 + f[1:].sum())
+    f = _gauss_factor(r, M, alpha_j, h, k, z, in_J,
+                      _nu_cutoff(M, alpha_j, k, z, 1e-18))
+    zero = f[0] if in_J else _window_entry(r, M, alpha_j, h, k, z, nu_terms)
+    return pref * complex(zero / 2 + f[1:].sum())
+
+
+def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
+                           z: complex) -> complex:
+    """Gauss-sum expansion of the two-sided theta sum for the class r mod 2M,
+    at argument 2 alpha_j (h + i z)/k.
+
+    Matches theta_eval_direct_arc(r, 2M, 2*alpha_j, h, k, z) up to the Gaussian
+    tail cutoff; cost is O(k) Gauss-sum table setup plus a handful of terms.
+    """
+    return _transformed_sum(r, M, alpha_j, h, k, z, True, 0)
 
 
 def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
-                                 z: complex, tol: float = 1e-18,
-                                 nu_terms: int = 24) -> complex:
+                                 z: complex, nu_terms: int = 24) -> complex:
     """Gauss-sum expansion of the sign-weighted theta sum for the class
     r mod 2M, at argument 2 alpha_j (h + i z)/k.
 
@@ -311,14 +288,7 @@ def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
     nu = 0 term.  The Gauss-sum second argument is 2 r alpha_j h + l, matching
     the quadratic-completion bookkeeping of the full product expansion.
     """
-    if math.gcd(h, k) != 1:
-        raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
-    pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
-        2 * cmath.sqrt(M * k * alpha_j * z))
-    f = _gauss_factor(r, M, alpha_j, h, k, z, False,
-                      _nu_cutoff(M, alpha_j, k, z, tol))
-    zero = _window_entry(r, M, alpha_j, h, k, z, nu_terms)
-    return pref * complex(zero / 2 + f[1:].sum())
+    return _transformed_sum(r, M, alpha_j, h, k, z, False, nu_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +367,14 @@ def pv_integral_direct(params: PVIntegralParams, tol: float = 1e-11) -> complex:
     return pv + sgn * cmath.pi * 1j * cmath.exp(-w * mu * mu)
 
 
-def pv_closed_form(mu: int, M: int, alpha_j: int, k: int, z: complex) -> complex:
-    """Faddeeva-function closed form of the principal-value integral.
+def pv_closed_form_batch(mus: np.ndarray, M: int, alpha_j: int, k: int,
+                         z: complex) -> np.ndarray:
+    """Faddeeva-function closed form of the principal-value integral, for
+    each entry of an array of nonzero integers mu.
 
     With a = mu sqrt(pi V): pi i [(sgn(mu) + 1) exp(-a^2) - wofz(-a)].
     Odd in mu; asymptotically -2 sqrt(M k alpha_j z)/mu for large |mu|.
     """
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    V = 1.0 / (4.0 * M * k * alpha_j * z)
-    a = mu * np.sqrt(np.pi * V)
-    if mu > 0:
-        return complex(np.pi * 1j * (2 * np.exp(-a * a) - wofz(-a)))
-    return complex(-np.pi * 1j * wofz(-a))
-
-
-def pv_closed_form_batch(mus: np.ndarray, M: int, alpha_j: int, k: int,
-                         z: complex) -> np.ndarray:
-    """Vectorized pv_closed_form over an integer array of nonzero mu."""
     V = 1.0 / (4.0 * M * k * alpha_j * z)
     s = np.sqrt(np.pi * V)
     a = mus * s

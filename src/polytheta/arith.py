@@ -55,14 +55,8 @@ def gauss_sum_table(a: int, c: int) -> np.ndarray:
     a %= c
     ell = np.arange(c, dtype=np.int64)
     base = np.exp((2j * np.pi / c) * ((a * ell * ell) % c))
-    # G(a,b;c) = sum_l base_l * u^(b*l) with u = e(1/c)
-    u = np.exp((2j * np.pi / c) * ell)
-    out = np.empty(c, dtype=np.complex128)
-    acc = base.copy()
-    out[0] = acc.sum()
-    for b in range(1, c):
-        acc *= u
-        out[b] = acc.sum()
+    # G(a,b;c) = sum_l base_l e(b l/c): the inverse DFT of base, unscaled
+    out = np.fft.ifft(base, norm="forward")
     out.setflags(write=False)
     return out
 

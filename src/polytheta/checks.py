@@ -45,7 +45,7 @@ def transformation_pairs(kind: str, k_max: int, N: int):
                 continue
             h, k = arc.h, arc.k
             for phi in (-float(arc.theta_left), 0.0, float(arc.theta_right)):
-                z = k * (1.0 / N**2 - 1j * phi)
+                z = analytic._arc_z(k, N, phi)
                 yield (r, M, aj, h, k, z, direct_eval(r, m_factor * M, 2 * aj, h, k, z),
                        transformed_eval(r, M, aj, h, k, z))
 
@@ -64,7 +64,7 @@ PV_GRID = [
 def pv_pairs():
     """Yield (params, split, direct) of lemma 5.1 for each point of ``PV_GRID``."""
     for mu, M, aj, k, N, frac in PV_GRID:
-        z = k * (1.0 / N**2 - 1j * frac / (k * N))
+        z = analytic._arc_z(k, N, frac / (k * N))
         params = analytic.PVIntegralParams(mu=mu, M=M, alpha_j=aj, k=k, z=z)
         yield params, analytic.pv_integral(params), analytic.pv_integral_direct(params)
 
@@ -111,7 +111,7 @@ def cotangent_window_means() -> list[tuple[int, int, tuple[float, float, float]]
     out = []
     for M, k in ((2, 3), (4, 5)):
         N = 4 * k
-        z = k * (1.0 / N**2 - 1j * 0.4 / (k * N))
+        z = analytic._arc_z(k, N, 0.4 / (k * N))
         dists = [abs(analytic.nu_sum(ell, M, 1, k, z)
                      - analytic.cot_main_term(ell, M, 1, k, z))
                  for ell in range(1, M * k + 1)]

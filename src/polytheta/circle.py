@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (_gauss_factor, _unit_phase, _window_entry,
+from .analytic import (_arc_z, _gauss_factor, _unit_phase, _window_entry,
                        complex_quad, false_theta_eval_direct_arc,
                        false_theta_eval_transformed, theta_eval_direct_arc,
                        theta_eval_transformed)
@@ -37,7 +37,6 @@ __all__ = [
     "series_evaluator",
     "transformed_evaluator",
     "constant_evaluator",
-    "TransformTerm",
     "i_nu_contributions",
     "reconstruct_by_nu",
     "ExponentFit",
@@ -72,7 +71,6 @@ class ContourResult:
     quad_error: float
     n: int
     N: int
-    mode: str
 
 
 def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
@@ -104,8 +102,8 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
         h, k = arc.h, arc.k
 
         def integrand(phi: float) -> complex:
-            z = k * (1.0 / N**2 - 1j * phi)
-            return evaluator(h, k, z) * cmath.exp(-2j * cmath.pi * n * phi)
+            return evaluator(h, k, _arc_z(k, N, phi)) * \
+                cmath.exp(-2j * cmath.pi * n * phi)
 
         lo = -float(arc.theta_left)
         hi = float(arc.theta_right)
@@ -114,12 +112,12 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
         total += _unit_phase(-n * h, k) * amp * val
         err += amp * e
     return ContourResult(value=total, num_arcs=used, quad_error=err, n=n,
-                         N=N, mode=config.mode)
+                         N=N)
 
 
-def constant_evaluator(value: complex = 1.0) -> ArcEvaluator:
-    """Evaluator of the constant series (orthogonality test target)."""
-    return lambda h, k, z: value
+def constant_evaluator() -> ArcEvaluator:
+    """Evaluator of the constant series 1 (orthogonality test target)."""
+    return lambda h, k, z: 1.0
 
 
 def nu_terms_for(n: int) -> int:
@@ -191,28 +189,10 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
 # the nu-indexed decomposition of the arc sum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransformTerm:
-    """One (nu, lambda, eps) summand of the expanded arc integrand."""
-
-    nu: tuple[int, int, int, int]
-    lam: tuple[int, int, int, int]
-    eps: tuple[int, int, int, int]
-    J: frozenset[int]
-
-    def d_component(self, j: int) -> int:
-        """eps_j nu_j, plus the window index when nu_j = 0 off J."""
-        nu_j = self.nu[j - 1]
-        if nu_j != 0:
-            return self.eps[j - 1] * nu_j
-        return self.lam[j - 1] if j not in self.J else 0
-
-
 def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        J: frozenset[int] | set[int],
                        nus: Sequence[tuple[int, int, int, int]], n: int,
-                       nodes: int = 48,
-                       nu_terms: int = 24) -> dict[tuple[int, int, int, int], complex]:
+                       nodes: int = 48) -> dict[tuple[int, int, int, int], complex]:
     """Arc-sum contributions indexed by nu, sharing quadrature nodes and
     nu-sum tables across all requested nu (fixed Gauss-Legendre rule per arc).
 
@@ -238,13 +218,12 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
         phase_n = _unit_phase(-n * h, k)
         for x, wgt in zip(glx.tolist(), glw.tolist()):
-            phi = mid + half * x
-            z = k * (1.0 / N**2 - 1j * phi)
+            z = _arc_z(k, N, mid + half * x)
             tables = {}
             for a, in_J in set(coords):
                 tab = _gauss_factor(r, M, a, h, k, z, in_J, nu_max).tolist()
                 if not in_J:
-                    tab[0] = _window_entry(r, M, a, h, k, z, nu_terms)
+                    tab[0] = _window_entry(r, M, a, h, k, z)
                 tables[a, in_J] = tab
             t1, t2, t3, t4 = (tables[c] for c in coords)
             base = cmath.exp(2 * cmath.pi * (n + c_shift) * z / k) / \
@@ -256,39 +235,33 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
     return out
 
 
-def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int],
-                    tol: float = 1e-6) -> float:
-    """Norm cap that keeps the dropped Gaussian tail below tol after the
+def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> float:
+    """Norm cap that keeps the dropped Gaussian tail below 1e-6 after the
     exp(2 pi n/N^2) amplification (envelope exp(-pi nu^2 Re(1/z)/(4 M k a)),
     Re(1/z)/k >= 1/2 on every arc)."""
     N = max(1, isqrt(n))
     amax = max(alpha)
     need = (8.0 * M * amax / math.pi) * (
-        2.0 * math.pi * n / N**2 + math.log(50.0 / tol))
+        2.0 * math.pi * n / N**2 + math.log(50.0 / 1e-6))
     return min(16.0, math.ceil(math.sqrt(max(need, 1.0))))
 
 
 def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
-                      J: frozenset[int] | set[int], n: int,
-                      norm_cap: float | None = None,
-                      nodes: int = 48,
-                      nu_terms: int = 24,
-                      tol: float = 1e-6) -> tuple[complex, dict]:
-    """Sum the weighted nu-contributions with ||nu|| <= norm_cap.
+                      J: frozenset[int] | set[int],
+                      n: int) -> tuple[complex, dict]:
+    """Sum the weighted nu-contributions with ||nu|| <= ``nu_norm_cap_for``,
+    the cap that keeps the dropped tail below 1e-6.
 
     Weights: 1/(16 M^2 prod sqrt(alpha_j)) times 1/2 per vanishing nu_j.
-    With norm_cap=None the cap is chosen so the dropped tail stays below tol.
     Returns (value, per-nu breakdown).
     """
-    if norm_cap is None:
-        norm_cap = nu_norm_cap_for(n, M, alpha, tol)
+    norm_cap = nu_norm_cap_for(n, M, alpha)
     cap = int(norm_cap)
     nus = [(a, b, c, d)
            for a in range(cap + 1) for b in range(cap + 1)
            for c in range(cap + 1) for d in range(cap + 1)
            if a * a + b * b + c * c + d * d <= norm_cap**2]
-    contrib = i_nu_contributions(r, M, alpha, J, nus, n, nodes=nodes,
-                                 nu_terms=nu_terms)
+    contrib = i_nu_contributions(r, M, alpha, J, nus, n)
     pref = 1.0 / (16.0 * M * M * math.prod(math.sqrt(a) for a in alpha))
     total = 0.0 + 0.0j
     for nu, val in contrib.items():

@@ -116,10 +116,12 @@ def cmd_count(args) -> int:
             inst = PolygonalInstance(m=args.m, alpha=args.alpha)
         except ValueError as exc:
             return _bad_input(exc)
-        t_r = counting.polygonal_count_table(inst, nmax, NON_NEGATIVE)
-        t_rp = counting.polygonal_count_table(inst, nmax, POSITIVE)
-        t_rs = counting.polygonal_count_table(inst, nmax, ALL_INTEGERS)
-        with_squares = inst.m >= 5
+        # build only the tables of the printed columns
+        col = {"nonneg": "r", "positive": "r_plus", "all": "r_star"}.get(args.domain)
+        domains = {"r": NON_NEGATIVE, "r_plus": POSITIVE, "r_star": ALL_INTEGERS}
+        tables = {name: counting.polygonal_count_table(inst, nmax, domain)
+                  for name, domain in domains.items() if col in (None, name)}
+        with_squares = inst.m >= 5 and col is None
         if with_squares:
             cong, shift0 = counting.polygonal_to_squares(inst, 0)
             stride = 8 * (inst.m - 2)
@@ -127,18 +129,13 @@ def cmd_count(args) -> int:
             free = CongruenceInstance(r=cong.r, M=cong.M, alpha=cong.alpha)
             t_ss = counting.squares_count_table(free, shift0 + stride * nmax)
         for n in args.n:
-            row = {"n": n, "r": int(t_r[n]), "r_plus": int(t_rp[n]),
-                   "r_star": int(t_rs[n])}
+            row = {"n": n, **{name: int(t[n]) for name, t in tables.items()}}
             if with_squares:
                 arg = shift0 + stride * n
                 row["s"] = int(t_s[arg])
                 row["s_star"] = int(t_ss[arg])
             rows.append(row)
         payload = {"kind": "polygonal", "m": args.m, "alpha": list(args.alpha)}
-    if args.domain != "all-columns":
-        col = {"nonneg": "r", "positive": "r_plus", "all": "r_star"}.get(args.domain)
-        if col and rows and col in rows[0]:
-            rows = [{"n": r["n"], col: r[col]} for r in rows]
     _emit(args, rows, payload)
     return 0
 
@@ -306,7 +303,8 @@ def cmd_contour(args) -> int:
     else:
         J = args.J if args.J else frozenset({1, 2, 3, 4})
         if args.mode == "transformed":
-            evaluator = circle.transformed_evaluator(args.r, args.M, args.alpha, J)
+            evaluator = circle.transformed_evaluator(
+                args.r, args.M, args.alpha, J, nu_terms=circle.nu_terms_for(args.n))
         else:
             evaluator = circle.series_evaluator(args.r, args.M, args.alpha, J)
         fj = series.f_J_series(args.r, args.M, args.alpha, J, args.n)
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--spot-check", type=_bounded_int(0), default=0,
                    dest="spot_check",
                    help="re-derive this many sampled entries per index")
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=_bounded_int(0), default=0)
     a.add_argument("--format", default="json", choices=["table", "csv", "json"])
     a.set_defaults(func=cmd_asymptotics)
 

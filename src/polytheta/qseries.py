@@ -46,10 +46,6 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, D: int = 1, order: int = 0) -> "QSeries":
-        return cls(D, order, {})
-
-    @classmethod
     def one(cls, D: int = 1, order: int = 1) -> "QSeries":
         return cls(D, order, {0: 1})
 

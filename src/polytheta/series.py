@@ -26,7 +26,7 @@ import numpy as np
 from .counting import (ALL_INTEGERS, POSITIVE, CongruenceInstance,
                        PolygonalInstance, count_polygonal, polygonal_count_table,
                        squares_count_table)
-from .qseries import QSeries, Rational
+from .qseries import QSeries, Rational, _ceil_index
 
 __all__ = [
     "theta_series",
@@ -44,50 +44,40 @@ __all__ = [
 FULL_J = frozenset({1, 2, 3, 4})
 
 
-def _order_index(truncation: Rational, D: int) -> int:
-    t = Fraction(truncation) * D
-    return -((-t.numerator) // t.denominator)
+def _class_series(r: int, M: int, truncation: Rational, scale: int,
+                  signed: bool) -> QSeries:
+    """Sum over nu = r (mod m) of sgn(nu)^signed q^(scale nu^2/(2m)), with
+    m = 2M when signed and m = M otherwise, walked outward from the class
+    representative in both directions."""
+    if M < 1 or scale < 1:
+        raise ValueError(f"need M >= 1 and scale >= 1, got M={M}, scale={scale}")
+    m = 2 * M if signed else M
+    r %= m
+    order = _ceil_index(truncation, 2 * m)
+    terms: dict[int, int] = {}
+    for start, step in ((r, m), (r - m, -m)):
+        nu = start
+        while scale * nu * nu < order:
+            if nu or not signed:
+                idx = scale * nu * nu
+                terms[idx] = terms.get(idx, 0) + (-1 if signed and nu < 0 else 1)
+            nu += step
+    return QSeries(2 * m, order, terms)
 
 
 def theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> QSeries:
     """Exact expansion of the two-sided theta sum at argument scale * tau."""
-    if M < 1 or scale < 1:
-        raise ValueError(f"need M >= 1 and scale >= 1, got M={M}, scale={scale}")
-    r %= M
-    D = 2 * M
-    order = _order_index(truncation, D)
-    terms: dict[int, int] = {}
-    for start, step in ((r, M), (r - M, -M)):
-        nu = start
-        while scale * nu * nu < order:
-            idx = scale * nu * nu
-            terms[idx] = terms.get(idx, 0) + 1
-            nu += step
-    return QSeries(D, order, terms)
+    return _class_series(r, M, truncation, scale, False)
 
 
 def false_theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> QSeries:
     """Exact expansion of the sign-weighted theta sum at argument scale * tau."""
-    if M < 1 or scale < 1:
-        raise ValueError(f"need M >= 1 and scale >= 1, got M={M}, scale={scale}")
-    r %= 2 * M
-    D = 4 * M
-    order = _order_index(truncation, D)
-    terms: dict[int, int] = {}
-    for start, step in ((r, 2 * M), (r - 2 * M, -2 * M)):
-        nu = start
-        while scale * nu * nu < order:
-            s = 1 if nu > 0 else (-1 if nu < 0 else 0)
-            if s:
-                idx = scale * nu * nu
-                terms[idx] = terms.get(idx, 0) + s
-            nu += step
-    return QSeries(D, order, terms)
+    return _class_series(r, M, truncation, scale, True)
 
 
 def _square_count_series(r: int, M: int, alpha: tuple[int, int, int, int],
                          truncation: Rational, lower: int | None) -> QSeries:
-    order = _order_index(truncation, M)
+    order = _ceil_index(truncation, M)
     # QSeries products of the four one-variable factors, each known below a
     # negative index, are known only below four times it; keep that order
     order = min(order, 4 * order)

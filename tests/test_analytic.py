@@ -11,7 +11,7 @@ from polytheta.farey import arcs
 
 def arc_z(k: int, N: int, frac: float) -> complex:
     """z = k(1/N^2 - i Phi) with Phi = frac/(kN), |frac| < 1."""
-    return k * (1.0 / N**2 - 1j * frac / (k * N))
+    return an._arc_z(k, N, frac / (k * N))
 
 
 # ---------------------------------------------------------------------------
@@ -24,10 +24,9 @@ def test_arc_point_invariants_across_orders():
     for N in orders:
         for arc in arcs(N):
             for phi in (-float(arc.theta_left), 0.0, float(arc.theta_right)):
-                p = an.ArcPoint(k=arc.k, N=N, Phi=phi)
-                z = p.z
+                z = an._arc_z(arc.k, N, phi)
                 assert z.real > 0
-                assert p.tau(arc.h).imag > 0
+                assert ((arc.h + 1j * z) / arc.k).imag > 0
                 assert arc.k * abs(z) <= math.sqrt(2) + 1e-12
                 assert arc.k**2 / N**2 <= arc.k * abs(z) + 1e-12
                 assert math.sqrt((1 / z).real / arc.k) >= 1 / math.sqrt(2) - 1e-12
@@ -35,51 +34,52 @@ def test_arc_point_invariants_across_orders():
 
 def test_arc_point_validation():
     with pytest.raises(ValueError):
-        an.ArcPoint(k=5, N=3, Phi=0.0)
+        an._arc_z(5, 3, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # direct evaluation
 # ---------------------------------------------------------------------------
 
+# h = 0, k = 1, z = -i tau: the sums at a plain upper-half-plane point tau
+
 def test_theta_direct_two_cutoffs_agree():
-    tau = 0.31 + 0.047j
-    a = an.theta_eval_direct(3, 7, 2, tau, tol=1e-12)
-    b = an.theta_eval_direct(3, 7, 2, tau, tol=1e-18)
+    z = -1j * (0.31 + 0.047j)
+    a = an.theta_eval_direct_arc(3, 7, 2, 0, 1, z, tol=1e-12)
+    b = an.theta_eval_direct_arc(3, 7, 2, 0, 1, z, tol=1e-18)
     assert abs(a - b) < 1e-12
 
 
 def test_false_theta_direct_vanishing_classes():
-    tau = 0.1 + 0.2j
+    z = -1j * (0.1 + 0.2j)
     for M in (1, 2, 5):
-        assert abs(an.false_theta_eval_direct(0, M, 1, tau)) < 1e-14
-        assert abs(an.false_theta_eval_direct(M, M, 1, tau)) < 1e-14
+        assert abs(an.false_theta_eval_direct_arc(0, M, 1, 0, 1, z)) < 1e-14
+        assert abs(an.false_theta_eval_direct_arc(M, M, 1, 0, 1, z)) < 1e-14
 
 
 def test_false_theta_direct_antisymmetry():
-    tau = -0.23 + 0.11j
+    z = -1j * (-0.23 + 0.11j)
     for (r, M) in [(1, 3), (2, 5), (7, 4)]:
-        a = an.false_theta_eval_direct(2 * M - r, M, 1, tau)
-        b = an.false_theta_eval_direct(r, M, 1, tau)
+        a = an.false_theta_eval_direct_arc(2 * M - r, M, 1, 0, 1, z)
+        b = an.false_theta_eval_direct_arc(r, M, 1, 0, 1, z)
         assert abs(a + b) < 1e-12
 
 
 def test_direct_arc_variants_match_generic():
     h, k, N = 2, 5, 9
     z = arc_z(k, N, 0.3)
-    tau = (h + 1j * z) / k
+    # exact phase reduction at (h, k, z) against floating phases at h = 0,
+    # k = 1, z = -i tau
+    plain = -1j * (h + 1j * z) / k
     assert abs(an.theta_eval_direct_arc(1, 4, 2, h, k, z)
-               - an.theta_eval_direct(1, 4, 2, tau)) < 1e-11
+               - an.theta_eval_direct_arc(1, 4, 2, 0, 1, plain)) < 1e-11
     assert abs(an.false_theta_eval_direct_arc(1, 2, 2, h, k, z)
-               - an.false_theta_eval_direct(1, 2, 2, tau)) < 1e-11
+               - an.false_theta_eval_direct_arc(1, 2, 2, 0, 1, plain)) < 1e-11
 
 
 def test_direct_eval_rejects_lower_half_plane():
-    with pytest.raises(ValueError):
-        an.theta_eval_direct(1, 2, 1, 0.3 - 0.1j)
-    with pytest.raises(ValueError):
-        an.false_theta_eval_direct(1, 2, 1, 0.3)
-    for z in (0.0 - 0.2j, -0.1 + 0.3j):
+    # z = -i tau for tau = 0.3 - 0.1i and tau = 0.3, then two more z
+    for z in (-0.1 - 0.3j, -0.3j, 0.0 - 0.2j, -0.1 + 0.3j):
         with pytest.raises(ValueError):
             an.theta_eval_direct_arc(1, 4, 2, 1, 3, z)
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ def test_direct_eval_rejects_lower_half_plane():
 
 def test_theta_transformed_classical_inversion_point():
     # h=0, k=1, z=1: the plain inversion; both routes to 1e-10
-    d = an.theta_eval_direct(1, 4, 2, 1j)
+    d = an.theta_eval_direct_arc(1, 4, 2, 0, 1, 1.0 + 0j)
     t = an.theta_eval_transformed(1, 2, 1, 0, 1, 1.0 + 0j)
     assert abs(d - t) < 1e-10
 
@@ -159,16 +159,16 @@ def test_pv_split_vs_direct_quadrature(mu, M, aj, k, z):
 def test_pv_closed_form_matches_split(mu, M, aj, k, z):
     p = an.PVIntegralParams(mu=mu, M=M, alpha_j=aj, k=k, z=z)
     split = an.pv_integral(p)
-    closed = an.pv_closed_form(mu, M, aj, k, z)
+    closed = an.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
     assert abs(split - closed) / abs(split) < 1e-10
 
 
 def test_pv_odd_in_mu():
     z = arc_z(3, 10, 0.3)
-    for mu in (1, 2, 6):
-        plus = an.pv_closed_form(mu, 2, 1, 3, z)
-        minus = an.pv_closed_form(-mu, 2, 1, 3, z)
-        assert abs(plus + minus) < 1e-13
+    mus = np.array([1, 2, 6])
+    plus = an.pv_closed_form_batch(mus, 2, 1, 3, z)
+    minus = an.pv_closed_form_batch(-mus, 2, 1, 3, z)
+    assert np.all(np.abs(plus + minus) < 1e-13)
 
 
 def test_pv_residue_sign_flip():
@@ -279,9 +279,9 @@ def test_nu_sum_against_pv_sum_oracle():
     for ell in (1, -2, 5):
         total = an.pv_integral(an.PVIntegralParams(mu=ell, M=M, alpha_j=aj, k=k, z=z))
         V = 600
-        for nu in range(1, V + 1):
-            for mu in (ell + 2 * M * k * nu, ell - 2 * M * k * nu):
-                total += an.pv_closed_form(mu, M, aj, k, z)
+        shifts = 2 * M * k * np.arange(1, V + 1)
+        total += an.pv_closed_form_batch(
+            np.concatenate([ell + shifts, ell - shifts]), M, aj, k, z).sum()
         # leftover pure-main tail
         from scipy.special import digamma
         x = ell / (2 * M * k)

@@ -37,10 +37,22 @@ def test_gauss_sum_conjugation():
 
 
 def test_gauss_sum_table_matches_scalar():
-    for (a, c) in [(2, 7), (6, 12), (0, 5)]:
-        tab = arith.gauss_sum_table(a, c)
-        for b in range(c):
-            assert tab[b] == pytest.approx(arith.gauss_sum(a, b, c), abs=1e-12)
+    # every a and b mod c: against the scalar sum for c <= 40, and at
+    # c = 401 (where accumulating the twiddle e(l/c) over b drifts past
+    # 1e-12) against the defining sum as one dense product
+    # sum_l e(a l^2/c) e(b l/c), each exponent reduced mod c in integers
+    for c in range(1, 41):
+        for a in range(c):
+            tab = arith.gauss_sum_table(a, c)
+            for b in range(c):
+                assert abs(tab[b] - arith.gauss_sum(a, b, c)) <= 1e-12, (a, b, c)
+    c = 401
+    ell = np.arange(c)
+    roots = np.exp((2j * np.pi / c) * ell)
+    dense = roots[np.outer(ell, ell * ell) % c] @ roots[np.outer(ell, ell) % c]
+    tables = np.array([arith.gauss_sum_table(a, c) for a in range(c)])
+    gap = np.abs(tables - dense)
+    assert gap.max() <= 1e-12, np.unravel_index(gap.argmax(), gap.shape)
 
 
 def test_gauss_sum_rejects_bad_modulus():

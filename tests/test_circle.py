@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polytheta.circle import (ContourConfig, TransformTerm, constant_evaluator,
+from polytheta.circle import (ContourConfig, constant_evaluator,
                               coefficient_by_contour, error_exponent_fit,
                               i_nu_contributions, kloosterman_h_sum,
                               nu_terms_for, reconstruct_by_nu,
@@ -61,15 +61,6 @@ def test_transformed_contour_matches_direct():
             res = coefficient_by_contour(
                 ev, n, ContourConfig(n=n, mode="transformed", tol=1e-8))
             assert abs(res.value - exact) <= 1e-4, (sorted(J), n)
-
-
-def test_transform_term_selector():
-    term = TransformTerm(nu=(0, 2, 0, 1), lam=(3, -1, 2, 1),
-                         eps=(1, -1, 1, 1), J=frozenset({1, 2}))
-    assert term.d_component(1) == 0        # in J, nu = 0
-    assert term.d_component(2) == -2       # in J, nu != 0: eps*nu
-    assert term.d_component(3) == 2        # off J, nu = 0: window index
-    assert term.d_component(4) == 1        # off J, nu != 0: eps*nu
 
 
 def test_i_nu_rejects_full_J():

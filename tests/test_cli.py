@@ -49,6 +49,22 @@ def test_count_table_format(capsys):
     assert out.splitlines()[0].split()[:3] == ["n", "r", "r_plus"]
 
 
+def test_count_domain_builds_only_the_printed_table(capsys, monkeypatch):
+    from polytheta import counting
+
+    def refuse(*args):
+        raise AssertionError("squares table built for a column not printed")
+
+    monkeypatch.setattr(counting, "squares_count_table", refuse)
+    code, out = run_cli(capsys, "count", "--m", "6", "--domain", "nonneg",
+                        "--n", "0..10", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == list(range(11))
+    assert all(set(r) == {"n", "r"} for r in rows)
+    assert rows[1]["r"] == 4
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--n", "5..2"],
     ["count", "--n", "-3"],
@@ -75,6 +91,8 @@ def test_count_table_format(capsys):
     ["series", "--kind", "false-theta", "--scale", "-1"],
     ["asymptotics", "--which", "pentagonal", "--nmax", "2000",
      "--spot-check", "-5"],
+    ["asymptotics", "--which", "pentagonal", "--nmax", "200",
+     "--spot-check", "2", "--seed", "-1"],
 ])
 def test_count_bad_input_exits_2_without_traceback(capsys, argv):
     try:
@@ -172,6 +190,17 @@ def test_contour_transformed(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["abs_err"] <= 1e-4
+
+
+def test_contour_transformed_at_one_arc(capsys):
+    # n = 3 has N = 1: the one arc's error is amplified by exp(6 pi), so the
+    # evaluator needs the nu-sum length of nu_terms_for(3), as elsewhere
+    code, out = run_cli(capsys, "contour", "--r", "1", "--M", "2",
+                        "--alpha", "1,1,1,1", "--J", "1,2,3",
+                        "--n", "3", "--mode", "transformed",
+                        "--tol-report", "1e-6")
+    assert code == 0
+    assert json.loads(out)["abs_err"] <= 1e-6
 
 
 def test_asymptotics_report(tmp_path, capsys):

@@ -85,11 +85,6 @@ def test_rho_mirror_congruence_is_right_neighbor():
             assert rho == a.rho2
 
 
-def test_rho_equals_left_neighbor_rho_exhaustive():
-    # congruence characterization vs the neighbor formula, all orders <= 200
-    assert farey_structure(200, ("congruence",))[1] is None
-
-
 def test_reflection_swaps_neighbor_roles():
     assert farey_structure(120, ("reflection",))[1] is None
 
