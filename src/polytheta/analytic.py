@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import digamma, wofz, zeta
 
 from .arith import gauss_sum_table
 
@@ -126,9 +124,11 @@ class PVIntegralParams:
 
 
 def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None,
-                 limit: int = 200, tol: float = 1e-11) -> tuple[complex, float]:
+                 tol: float = 1e-11) -> tuple[complex, float]:
     """Adaptive quadrature of a complex integrand; returns (value, error est)."""
-    kw = {"limit": limit, "epsabs": tol, "epsrel": tol, "full_output": 1}
+    from scipy import integrate
+
+    kw = {"limit": 200, "epsabs": tol, "epsrel": tol, "full_output": 1}
     if points is not None:
         pts = [p for p in points if a < p < b]
         if pts:
@@ -213,19 +213,24 @@ def _gauss_terms(r: int, M: int, alpha_j: int, h: int, k: int,
 
 
 def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
-                  in_J: bool, nu_max: int) -> np.ndarray:
+                  in_J: bool, nu_max: int, nu_terms: int = 24) -> np.ndarray:
     """F(nu) = g(nu) [T(nu) + T(-nu)] on J and g(nu) [T(nu) - T(-nu)] off J,
-    with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max.
+    with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max; off J
+    the nu = 0 entry is ``_window_entry`` (with ``nu_terms`` shifted pairs).
 
     One coordinate of the expanded arc integrand: the transformed evaluators
     sum it over nu (halving nu = 0), and the nu-decomposition multiplies it
-    across coordinates.  Off J the nu = 0 entry is ``_window_entry`` instead.
+    across coordinates.
     """
     nus = np.arange(nu_max + 1)
     t = _gauss_terms(r, M, alpha_j, h, k, np.arange(-nu_max, nu_max + 1))
     plus, minus = t[nu_max:], t[nu_max::-1]
     g = np.exp((-np.pi / (4 * M * k * alpha_j * z)) * (nus * nus))
-    return g * (plus + minus if in_J else plus - minus)
+    if in_J:
+        return g * (plus + minus)
+    f = g * (plus - minus)
+    f[0] = _window_entry(r, M, alpha_j, h, k, z, nu_terms)
+    return f
 
 
 def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
@@ -261,9 +266,8 @@ def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
         2 * cmath.sqrt(M * k * alpha_j * z))
     f = _gauss_factor(r, M, alpha_j, h, k, z, in_J,
-                      _nu_cutoff(M, alpha_j, k, z, 1e-18))
-    zero = f[0] if in_J else _window_entry(r, M, alpha_j, h, k, z, nu_terms)
-    return pref * complex(zero / 2 + f[1:].sum())
+                      _nu_cutoff(M, alpha_j, k, z, 1e-18), nu_terms)
+    return pref * complex(f[0] / 2 + f[1:].sum())
 
 
 def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
@@ -355,6 +359,8 @@ def pv_integral(params: PVIntegralParams, tol: float = 1e-11) -> complex:
 def pv_integral_direct(params: PVIntegralParams, tol: float = 1e-11) -> complex:
     """Independent oracle: symmetric-excision principal-value quadrature of
     the defining integral, plus the same half-residue term."""
+    from scipy import integrate
+
     mu, z = params.mu, params.z
     w = cmath.pi * params.gaussian_weight
     L = max(math.sqrt(60.0 / w.real), 3.0 * abs(mu))
@@ -375,6 +381,8 @@ def pv_closed_form_batch(mus: np.ndarray, M: int, alpha_j: int, k: int,
     With a = mu sqrt(pi V): pi i [(sgn(mu) + 1) exp(-a^2) - wofz(-a)].
     Odd in mu; asymptotically -2 sqrt(M k alpha_j z)/mu for large |mu|.
     """
+    from scipy.special import wofz
+
     V = 1.0 / (4.0 * M * k * alpha_j * z)
     s = np.sqrt(np.pi * V)
     a = mus * s
@@ -464,6 +472,8 @@ def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z: complex,
     (digamma and Hurwitz-zeta tails).  The residual error decays like
     terms^(-4).
     """
+    from scipy.special import digamma, zeta
+
     ells = np.asarray(list(ells), dtype=np.int64)
     if np.any(ells == 0) or np.any(np.abs(ells) > M * k) or np.any(ells < 1 - M * k):
         raise ValueError("window indices must lie in [1-Mk, -1] or [1, Mk]")

@@ -7,7 +7,8 @@ acceptance suite calls the same functions with its own literal bounds.
 Functions raise ``ValueError`` on an invalid instance or an empty domain,
 where a check would pass vacuously.
 
-Not imported by ``polytheta/__init__.py``, so counting stays free of scipy.
+Importing it, like any polytheta module, loads no scipy: ``analytic`` and
+``circle`` import scipy inside the functions that integrate.
 """
 from __future__ import annotations
 

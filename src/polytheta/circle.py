@@ -7,22 +7,28 @@ dissected along the order-N Farey arcs.  Evaluators receive (h, k, z) so both
 the direct-summation route and the Gauss-sum transformed route can reduce
 rational phases exactly.
 
-The nu-decomposition (``i_nu_contributions``) uses the same per-coordinate
-Gauss-sum factor as the transformed evaluators (``analytic._gauss_factor``),
-tabulated once per node and indexed by each nu.
+Both drivers walk the arcs in (k, h) order with m-point Gauss-Legendre rules
+on [-theta_left, 0] and [0, theta_right], split where the integrand peaks
+(``_arc_walk``).  The contour doubles m from 16 per arc until two rules agree
+to the arc's share of the tolerance, stop converging (the evaluator's
+roundoff floor) or reach m = 1024; ``quad_error`` sums exp(2 pi n/N^2) times
+each arc's last difference.  The nu-decomposition takes m = 24 and indexes
+one table of ``analytic._gauss_factor`` per coordinate and node by every nu.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (_arc_z, _gauss_factor, _unit_phase, _window_entry,
-                       complex_quad, false_theta_eval_direct_arc,
+from .analytic import (_arc_z, _gauss_factor, _unit_phase,
+                       false_theta_eval_direct_arc,
                        false_theta_eval_transformed, theta_eval_direct_arc,
                        theta_eval_transformed)
 from .arith import gauss_sum_table
@@ -69,8 +75,29 @@ class ContourResult:
     value: complex
     num_arcs: int
     quad_error: float
-    n: int
-    N: int
+
+
+@lru_cache(maxsize=None)
+def _legendre(m: int) -> np.ndarray:
+    """Nodes and weights (rows) of the m-point Gauss-Legendre rule on [0, 1]."""
+    from scipy.special import roots_legendre
+
+    rule = (np.array(roots_legendre(m)) + [[1.0], [0.0]]) / 2
+    rule.flags.writeable = False
+    return rule
+
+
+def _arc_walk(N: int):
+    """Yield (h, k, nodes) for the order-N arcs in (k, h) order; nodes(m) is
+    (phi, weights) of m-point rules on [-theta_left, 0] and [0, theta_right]."""
+    for arc in sorted(arcs(N), key=lambda a: (a.k, a.h)):
+        sides = np.array([-float(arc.theta_left), float(arc.theta_right)])
+
+        def nodes(m: int, sides=sides) -> tuple[np.ndarray, np.ndarray]:
+            x, w = _legendre(m)
+            return np.outer(sides, x).ravel(), np.outer(abs(sides), w).ravel()
+
+        yield arc.h, arc.k, nodes
 
 
 def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
@@ -87,32 +114,27 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
         raise ValueError("config.n must match n")
     N = config.N
     skip = set(skip_arcs)
-    all_arcs = sorted(arcs(N), key=lambda a: (a.k, a.h))
-    total = 0.0 + 0.0j
-    err = 0.0
-    used = 0
+    walk = [arc for arc in _arc_walk(N) if arc[:2] not in skip]
+    total, err = 0j, 0.0
     # exp(2 pi n z/k) = exp(2 pi n/N^2) exp(-2 pi i n Phi): the constant
-    # amplitude is pulled out so the quadrature works at unit scale
+    # amplitude is pulled out so the rules work at unit scale
     amp = math.exp(2 * math.pi * n / N**2)
-    per_arc_tol = max(config.tol / (max(1, len(all_arcs)) * amp), 1e-14)
-    for arc in all_arcs:
-        if (arc.h, arc.k) in skip:
-            continue
-        used += 1
-        h, k = arc.h, arc.k
-
-        def integrand(phi: float) -> complex:
-            return evaluator(h, k, _arc_z(k, N, phi)) * \
-                cmath.exp(-2j * cmath.pi * n * phi)
-
-        lo = -float(arc.theta_left)
-        hi = float(arc.theta_right)
-        val, e = complex_quad(integrand, lo, hi, points=[0.0],
-                              tol=per_arc_tol)
+    per_arc_tol = max(config.tol / (len(walk) * amp), 1e-14)
+    for h, k, nodes in walk:
+        val, diff, m = None, math.inf, 16
+        while True:
+            phi, w = nodes(m)
+            f = [evaluator(h, k, _arc_z(k, N, p)) for p in phi.tolist()]
+            new = complex((w * np.exp(-2j * np.pi * n * phi) * f).sum())
+            if val is not None:
+                last, diff = diff, abs(new - val)
+                if diff <= per_arc_tol or diff >= last or m >= 1024:
+                    val = new
+                    break
+            val, m = new, 2 * m
         total += _unit_phase(-n * h, k) * amp * val
-        err += amp * e
-    return ContourResult(value=total, num_arcs=used, quad_error=err, n=n,
-                         N=N)
+        err += amp * diff
+    return ContourResult(value=total, num_arcs=len(walk), quad_error=err)
 
 
 def constant_evaluator() -> ArcEvaluator:
@@ -123,10 +145,7 @@ def constant_evaluator() -> ArcEvaluator:
 def nu_terms_for(n: int) -> int:
     """Shifted-pair count that keeps the nu-sum tail negligible after the
     exp(2 pi n/N^2) amplification of the widest arcs."""
-    N = max(1, isqrt(n))
-    if N <= 2:
-        return 64
-    return 24
+    return 64 if isqrt(n) <= 2 else 24
 
 
 def _prefactor(r: int, M: int, alpha_sum: int, h: int, k: int,
@@ -191,51 +210,38 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
 
 def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        J: frozenset[int] | set[int],
-                       nus: Sequence[tuple[int, int, int, int]], n: int,
-                       nodes: int = 48) -> dict[tuple[int, int, int, int], complex]:
+                       nus: Sequence[tuple[int, int, int, int]],
+                       n: int) -> dict[tuple[int, int, int, int], complex]:
     """Arc-sum contributions indexed by nu, sharing quadrature nodes and
-    nu-sum tables across all requested nu (fixed Gauss-Legendre rule per arc).
-
-    At each node, every coordinate's Gauss-sum factor (``_gauss_factor``,
-    with the window entry at nu_j = 0 off J) is tabulated once per
-    (alpha_j, in J) over nu_j = 0..max and indexed by each nu.
-    """
+    nu-sum tables across all requested nu (24 nodes per side): at each node
+    the ``_gauss_factor`` table of each distinct (alpha_j, in J) over
+    nu_j = 0..max is indexed by the columns of the nu array."""
     J = frozenset(J)
     if J == FULL_J:
         raise ValueError("the nu-decomposition needs at least one factor off J")
     N = max(1, isqrt(n))
-    alpha_sum = sum(alpha)
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
     keys = [tuple(nu) for nu in nus]
-    out: dict[tuple[int, int, int, int], complex] = {nu: 0.0 + 0.0j
-                                                     for nu in keys}
-    c_shift = r * r * alpha_sum / (2.0 * M)
+    idx = np.array(keys, dtype=np.intp).reshape(-1, 4)
+    acc = np.zeros(len(keys), dtype=complex)
+    c_shift = r * r * sum(alpha) / (2.0 * M)
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
-    nu_max = max((max(nu) for nu in keys), default=0)
-    for arc in sorted(arcs(N), key=lambda a: (a.k, a.h)):
-        h, k = arc.h, arc.k
-        lo, hi = -float(arc.theta_left), float(arc.theta_right)
-        mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    nu_max = int(idx.max(initial=0))
+    for h, k, nodes in _arc_walk(N):
         phase_n = _unit_phase(-n * h, k)
-        for x, wgt in zip(glx.tolist(), glw.tolist()):
-            z = _arc_z(k, N, mid + half * x)
-            tables = {}
-            for a, in_J in set(coords):
-                tab = _gauss_factor(r, M, a, h, k, z, in_J, nu_max).tolist()
-                if not in_J:
-                    tab[0] = _window_entry(r, M, a, h, k, z)
-                tables[a, in_J] = tab
+        phi, w = nodes(24)
+        for p, wgt in zip(phi.tolist(), w.tolist()):
+            z = _arc_z(k, N, p)
+            tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max)
+                      for c in set(coords)}
             t1, t2, t3, t4 = (tables[c] for c in coords)
             base = cmath.exp(2 * cmath.pi * (n + c_shift) * z / k) / \
                 (k * k * z * z)
-            coef = phase_n * wgt * half * base
-            for nu in keys:
-                out[nu] += coef * (t1[nu[0]] * t2[nu[1]] * t3[nu[2]]
-                                   * t4[nu[3]])
-    return out
+            acc += (phase_n * wgt * base) * (t1[idx[:, 0]] * t2[idx[:, 1]]
+                                             * t3[idx[:, 2]] * t4[idx[:, 3]])
+    return dict(zip(keys, acc.tolist()))
 
 
-def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> float:
+def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> int:
     """Norm cap that keeps the dropped Gaussian tail below 1e-6 after the
     exp(2 pi n/N^2) amplification (envelope exp(-pi nu^2 Re(1/z)/(4 M k a)),
     Re(1/z)/k >= 1/2 on every arc)."""
@@ -243,7 +249,7 @@ def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> float:
     amax = max(alpha)
     need = (8.0 * M * amax / math.pi) * (
         2.0 * math.pi * n / N**2 + math.log(50.0 / 1e-6))
-    return min(16.0, math.ceil(math.sqrt(max(need, 1.0))))
+    return math.ceil(math.sqrt(max(need, 1.0)))
 
 
 def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -255,18 +261,12 @@ def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
     Weights: 1/(16 M^2 prod sqrt(alpha_j)) times 1/2 per vanishing nu_j.
     Returns (value, per-nu breakdown).
     """
-    norm_cap = nu_norm_cap_for(n, M, alpha)
-    cap = int(norm_cap)
-    nus = [(a, b, c, d)
-           for a in range(cap + 1) for b in range(cap + 1)
-           for c in range(cap + 1) for d in range(cap + 1)
-           if a * a + b * b + c * c + d * d <= norm_cap**2]
+    cap = nu_norm_cap_for(n, M, alpha)
+    nus = [nu for nu in itertools.product(range(cap + 1), repeat=4)
+           if sum(c * c for c in nu) <= cap * cap]
     contrib = i_nu_contributions(r, M, alpha, J, nus, n)
     pref = 1.0 / (16.0 * M * M * math.prod(math.sqrt(a) for a in alpha))
-    total = 0.0 + 0.0j
-    for nu, val in contrib.items():
-        weight = pref * 0.5 ** sum(1 for c in nu if c == 0)
-        total += weight * val
+    total = pref * sum(0.5 ** nu.count(0) * val for nu, val in contrib.items())
     return total, contrib
 
 

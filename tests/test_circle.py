@@ -29,10 +29,11 @@ def test_skipping_an_arc_breaks_completeness():
 
 
 def test_direct_contour_full_J():
+    # n = 200 (N = 14) needs more nodes per arc than any n <= 30
     r, M, alpha = 1, 2, (1, 1, 1, 1)
-    fj = f_J_series(r, M, alpha, FULL_J, 30)
+    fj = f_J_series(r, M, alpha, FULL_J, 200)
     ev = series_evaluator(r, M, alpha, FULL_J)
-    for n in (0, 1, 2, 7, 16, 30):
+    for n in (0, 1, 2, 7, 16, 30, 200):
         exact = float(fj.coeff(n))
         res = coefficient_by_contour(ev, n)
         assert abs(res.value - exact) <= 1e-6, n
@@ -48,6 +49,31 @@ def test_direct_contour_mixed_J():
         exact = float(fj.coeff(n))
         res = coefficient_by_contour(ev, n)
         assert abs(res.value - exact) <= 1e-6, n
+        rerun = coefficient_by_contour(ev, n)
+        assert (rerun.value, rerun.quad_error) == (res.value, res.quad_error)
+
+
+def test_contour_rule_splits_at_the_cusp_and_stops_at_the_cap():
+    # n = 0 has one arc, phi in [-1/2, 1/2], and z.imag = -phi on it
+    def counted(f):
+        def ev(h, k, z):
+            calls.append(z)
+            assert len(calls) <= 4064, "the rule ran past 1024 nodes per side"
+            return f(abs(z.imag))
+        return ev
+
+    # |phi| is linear on each side of the cusp, so the first two rules are
+    # exact and agree at once
+    calls = []
+    res = coefficient_by_contour(counted(lambda x: x), 0)
+    assert len(calls) == 2 * (16 + 32)
+    assert abs(res.value - 0.25) <= 1e-14 and res.quad_error <= 1e-14
+    # |phi|^(-1/2): each doubling only halves the difference, so neither the
+    # tolerance nor the stall stop ends the refinement before m = 1024
+    calls = []
+    res = coefficient_by_contour(counted(lambda x: x ** -0.5), 0)
+    assert len(calls) == 2 * sum(16 * 2**i for i in range(7))
+    assert abs(res.value - 4 * math.sqrt(0.5)) <= 2 * res.quad_error <= 4e-3
 
 
 def test_transformed_contour_matches_direct():
@@ -75,6 +101,9 @@ def test_nu_reconstruction_matches_exact_coefficients():
         val, _ = reconstruct_by_nu(r, M, alpha, J, n)
         exact = float(fj.coeff(n))
         assert abs(val - exact) <= 1e-4, n
+    # the 1e-6 that nu_norm_cap_for promises, at M = 6 where its cap is 20
+    val, _ = reconstruct_by_nu(5, 6, alpha, J, 4)
+    assert abs(val - float(f_J_series(5, 6, alpha, J, 4).coeff(4))) <= 1e-6
 
 
 def test_i_nu_decay_profile():
@@ -97,8 +126,7 @@ def test_i_nu_zero_growth_trend():
     # themselves fluctuate with the arithmetic of n)
     r, M, alpha, J = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3})
     ns = [4, 9, 16, 36, 64, 100, 144, 196]
-    vals = [abs(i_nu_contributions(r, M, alpha, J, [(0, 0, 0, 0)], n,
-                                   nodes=32)[(0, 0, 0, 0)])
+    vals = [abs(i_nu_contributions(r, M, alpha, J, [(0, 0, 0, 0)], n)[(0, 0, 0, 0)])
             for n in ns]
     fit = error_exponent_fit(np.array(ns, float), np.array(vals))
     assert fit.slope < 1.0, fit

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polytheta
 from polytheta.checks import FAMILIES
 from polytheta.cli import VERIFIERS, main
 from polytheta.counting import NON_NEGATIVE
@@ -201,6 +205,17 @@ def test_contour_transformed_at_one_arc(capsys):
                         "--tol-report", "1e-6")
     assert code == 0
     assert json.loads(out)["abs_err"] <= 1e-6
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that integrate, so commands
+    # that never integrate start without it
+    src = str(Path(polytheta.__file__).resolve().parents[1])
+    code = ("import sys; import polytheta.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
 def test_asymptotics_report(tmp_path, capsys):
