@@ -14,7 +14,10 @@ Conventions shared by everything below:
 The theta sums are evaluated in two ways, each by one kernel:
 
 * direct summation (the two ``*_direct_arc`` evaluators) runs through
-  ``_lattice_sum``, one term-by-term loop for both sum types;
+  ``_lattice_sum``, one term-by-term loop over nu for both sum types.  It
+  takes a scalar z or an array of them (the nodes of one quadrature rule)
+  and adds each nu term to every node at once, with the tail cutoff taken up
+  front from the smallest Re z;
 * the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
   factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
   transformed evaluators sum it over nu; the circle-method nu-decomposition
@@ -82,8 +85,9 @@ def resolved_relative_error(a: complex, b: complex,
     return abs(a - b) / max(abs(a), abs(b), zero_floor)
 
 
-def _arc_z(k: int, N: int, Phi: float) -> complex:
-    """The point z = k (1/N^2 - i Phi) on the order-N arc at denominator k."""
+def _arc_z(k: int, N: int, Phi):
+    """The point z = k (1/N^2 - i Phi) on the order-N arc at denominator k;
+    Phi may be a float or an array of them (then z is an array)."""
     if not (1 <= k <= N):
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
     return k * (1.0 / N**2 - 1j * Phi)
@@ -147,55 +151,80 @@ def _unit_phase(num: int, den: int) -> complex:
 # direct summation of the defining series
 # ---------------------------------------------------------------------------
 
-def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z: complex,
-                 signed: bool, tol: float) -> complex:
+def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
+    """The first integer nu >= floor at which exp(-decay nu^2) is below tol;
+    past 10^7 (or with no decay) the sum is refused before any term."""
+    reach = max(math.log(1 / tol), 0.0) / decay if decay > 0 else math.inf
+    if reach >= 1e14:
+        raise QuadratureError("Gaussian tail cutoff past 10^7 terms (Re z too small?)")
+    return max(floor, math.isqrt(int(reach)) + 1)
+
+
+def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z,
+                 signed: bool, tol: float):
     """Sum over nu = r mod M of sgn(nu)^signed e(scale nu^2 h/(2 M k))
     exp(-2 pi scale nu^2 z/(2 M k)), i.e. the exponents nu^2/(2M) at
-    tau = (h + i z)/k with the rational part of every phase reduced exactly.
+    tau = (h + i z)/k with the rational part of every phase reduced exactly,
+    at a numpy complex scalar z or every entry of a complex array z.
 
     Summed one term at a time, outward from the class representative in both
-    directions, until the Gaussian damping falls below tol past |nu| = M.
-    The sign-weighted sums of the classes r and -r cancel term by term in
-    this order; a reordered (pairwise) summation loses that to roundoff.
+    directions, up to and including the first |nu| > M whose damping is
+    below tol at the smallest Re z (so every entry gets at least its own
+    tail); the cutoff is taken before any term is summed.  The sign-weighted
+    sums of the classes r and -r cancel term by term in this order; a
+    reordered (pairwise) summation loses that to roundoff.
     """
     r %= M
     den = 2 * M * k
-    total = 0.0 + 0.0j
+    c = -2 * math.pi * scale / den
+    cut = _gaussian_cutoff(-c * float(np.min(z.real)), tol, M + 1)
+    total = 0j  # takes z's type at the first term; each walk reaches |nu| > M
     for start, step in ((r, M), (r - M, -M)):
         nu = start
         while True:
-            damp = cmath.exp(-2 * cmath.pi * scale * nu * nu * z / den)
             if nu or not signed:
-                term = _unit_phase(scale * nu * nu * h, den) * damp
-                total += -term if signed and nu < 0 else term
-            if abs(damp) < tol and abs(nu) > M:
+                term = _unit_phase(scale * nu * nu * h, den) * np.exp((c * nu * nu) * z)
+                if signed and nu < 0:
+                    total -= term
+                else:
+                    total += term
+            if abs(nu) >= cut:
                 break
             nu += step
-            if abs(nu) > 10**7:
-                raise QuadratureError("lattice-sum tail failed to decay")
     return total
 
 
+def _direct(r: int, M: int, scale: int, h: int, k: int, z, signed: bool,
+            tol: float):
+    """``_lattice_sum`` at a scalar z (returns a complex) or an array of z
+    (returns an array of the same shape), after checking Re z > 0.  A scalar
+    is summed as a numpy scalar, several times faster than a 0-d array."""
+    za = np.asarray(z, dtype=complex)
+    if not np.all(za.real > 0):
+        raise ValueError(f"need Re z > 0, got z={z}")
+    if za.ndim == 0:
+        return complex(_lattice_sum(r, M, scale, h, k, za[()], signed, tol))
+    return _lattice_sum(r, M, scale, h, k, za, signed, tol)
+
+
 def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
-                          z: complex, tol: float = 1e-16) -> complex:
+                          z, tol: float = 1e-16):
     """Two-sided theta sum (exponents nu^2/(2M), class nu = r mod M) at
     argument scale * tau, tau = (h + i z)/k, by direct summation with a
     certified Gaussian tail; the rational part of every phase is reduced
-    exactly in integer arithmetic.  h = 0, k = 1, z = -i tau gives the sum
-    at a plain upper-half-plane point tau."""
-    if z.real <= 0:
-        raise ValueError(f"need Re z > 0, got z={z}")
-    return _lattice_sum(r, M, scale, h, k, z, False, tol)
+    exactly in integer arithmetic.  z is a complex or an array of them (one
+    value each).  h = 0, k = 1, z = -i tau gives the sum at a plain
+    upper-half-plane point tau."""
+    return _direct(r, M, scale, h, k, z, False, tol)
 
 
 def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
-                                z: complex, tol: float = 1e-16) -> complex:
+                                z, tol: float = 1e-16):
     """Sign-weighted theta sum (exponents nu^2/(4M), class nu = r mod 2M) at
     argument scale * tau, tau = (h + i z)/k, by direct summation with exact
-    phase reduction; h = 0, k = 1, z = -i tau as for the two-sided sum."""
-    if z.real <= 0:
-        raise ValueError(f"need Re z > 0, got z={z}")
-    return _lattice_sum(r, 2 * M, scale, h, k, z, True, tol)
+    phase reduction; z and h = 0, k = 1, z = -i tau as for the two-sided
+    sum."""
+    return _direct(r, 2 * M, scale, h, k, z, True, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +273,6 @@ def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
     return complex(2j / np.pi * (terms * sums).sum())
 
 
-def _nu_cutoff(M: int, alpha_j: int, k: int, z: complex, tol: float) -> int:
-    """The first nu > 8 at which the envelope
-    |g(nu)| = exp(-Re(pi/(4 M k alpha_j z)) nu^2) is below tol."""
-    decay = (cmath.pi / (4 * M * k * alpha_j * z)).real
-    if decay <= 0:
-        raise QuadratureError("Gaussian envelope does not decay (Re z <= 0?)")
-    nu_max = max(9, math.isqrt(int(max(math.log(1 / tol), 0.0) / decay)) + 1)
-    if nu_max > 10**7:
-        raise QuadratureError("nu-sum truncation failure")
-    return nu_max
-
-
 def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
                      in_J: bool, nu_terms: int) -> complex:
     """The prefactor e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k alpha_j z)) times
@@ -265,8 +282,11 @@ def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
         raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
         2 * cmath.sqrt(M * k * alpha_j * z))
+    # the first nu > 8 where |g(nu)| = exp(-Re(pi/(4 M k alpha_j z)) nu^2)
+    # is below 1e-18
+    decay = (cmath.pi / (4 * M * k * alpha_j * z)).real
     f = _gauss_factor(r, M, alpha_j, h, k, z, in_J,
-                      _nu_cutoff(M, alpha_j, k, z, 1e-18), nu_terms)
+                      _gaussian_cutoff(decay, 1e-18, 9), nu_terms)
     return pref * complex(f[0] / 2 + f[1:].sum())
 
 

@@ -5,15 +5,18 @@ decomposition of the arc sum as a measurable diagnostic.
 its values on the circle of radius exp(-2 pi / N^2), N = floor(sqrt(n)),
 dissected along the order-N Farey arcs.  Evaluators receive (h, k, z) so both
 the direct-summation route and the Gauss-sum transformed route can reduce
-rational phases exactly.
+rational phases exactly; z is the array of one rule's nodes on the arc, and
+the evaluator returns the series values there as an array of the same shape.
 
 Both drivers walk the arcs in (k, h) order with m-point Gauss-Legendre rules
 on [-theta_left, 0] and [0, theta_right], split where the integrand peaks
-(``_arc_walk``).  The contour doubles m from 16 per arc until two rules agree
-to the arc's share of the tolerance, stop converging (the evaluator's
-roundoff floor) or reach m = 1024; ``quad_error`` sums exp(2 pi n/N^2) times
-each arc's last difference.  The nu-decomposition takes m = 24 and indexes
-one table of ``analytic._gauss_factor`` per coordinate and node by every nu.
+(``_arc_walk``, ``_arc_rule``).  The contour makes one evaluator call per
+rule and doubles m from 16 per arc until two rules agree to the arc's share
+of the tolerance, stop converging (the evaluator's roundoff floor, once m
+has a few nodes per period of e(-n phi) on the wider side) or reach
+m = 1024; ``quad_error`` sums exp(2 pi n/N^2) times each arc's last
+difference.  The nu-decomposition takes m = 24 and indexes one table of
+``analytic._gauss_factor`` per coordinate and node by every nu.
 """
 from __future__ import annotations
 
@@ -50,7 +53,9 @@ __all__ = [
     "kloosterman_h_sum",
 ]
 
-ArcEvaluator = Callable[[int, int, complex], complex]
+# evaluator(h, k, z): the series at tau = (h + i z)/k for every entry of the
+# 1-D complex array z, returned as an array of the same shape
+ArcEvaluator = Callable[[int, int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -88,16 +93,18 @@ def _legendre(m: int) -> np.ndarray:
 
 
 def _arc_walk(N: int):
-    """Yield (h, k, nodes) for the order-N arcs in (k, h) order; nodes(m) is
-    (phi, weights) of m-point rules on [-theta_left, 0] and [0, theta_right]."""
+    """Yield (h, k, sides) for the order-N arcs in (k, h) order, with
+    sides = [-theta_left, theta_right]."""
     for arc in sorted(arcs(N), key=lambda a: (a.k, a.h)):
-        sides = np.array([-float(arc.theta_left), float(arc.theta_right)])
+        yield arc.h, arc.k, np.array([-float(arc.theta_left),
+                                      float(arc.theta_right)])
 
-        def nodes(m: int, sides=sides) -> tuple[np.ndarray, np.ndarray]:
-            x, w = _legendre(m)
-            return np.outer(sides, x).ravel(), np.outer(abs(sides), w).ravel()
 
-        yield arc.h, arc.k, nodes
+def _arc_rule(sides: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, weights) of the m-point rules on [-theta_left, 0] and
+    [0, theta_right], concatenated."""
+    x, w = _legendre(m)
+    return np.outer(sides, x).ravel(), np.outer(abs(sides), w).ravel()
 
 
 def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
@@ -105,9 +112,11 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
                            skip_arcs: Sequence[tuple[int, int]] = ()) -> ContourResult:
     """Arc-sum reconstruction of the n-th coefficient.
 
-    The evaluator is called as evaluator(h, k, z) and must return the series
-    value at tau = (h + i z)/k.  Arcs are summed in (k, h) order so reruns are
-    bit-identical.  ``skip_arcs`` removes named (h, k) arcs (mutation tests).
+    The evaluator is called once per rule as evaluator(h, k, z), z the array
+    of the rule's nodes, and must return the series values at
+    tau = (h + i z)/k as an array of the same shape.  Arcs are summed in
+    (k, h) order so reruns are bit-identical.  ``skip_arcs`` removes named
+    (h, k) arcs (mutation tests).
     """
     config = config or ContourConfig(n=n)
     if config.n != n:
@@ -120,15 +129,19 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
     # amplitude is pulled out so the rules work at unit scale
     amp = math.exp(2 * math.pi * n / N**2)
     per_arc_tol = max(config.tol / (len(walk) * amp), 1e-14)
-    for h, k, nodes in walk:
+    for h, k, sides in walk:
+        # a difference that stops falling is the roundoff floor only once
+        # the rule has a few nodes per period of e(-n phi) on the wider side
+        stall_m = 4 * n * float(abs(sides).max())
         val, diff, m = None, math.inf, 16
         while True:
-            phi, w = nodes(m)
-            f = [evaluator(h, k, _arc_z(k, N, p)) for p in phi.tolist()]
+            phi, w = _arc_rule(sides, m)
+            f = evaluator(h, k, _arc_z(k, N, phi))
             new = complex((w * np.exp(-2j * np.pi * n * phi) * f).sum())
             if val is not None:
                 last, diff = diff, abs(new - val)
-                if diff <= per_arc_tol or diff >= last or m >= 1024:
+                if (diff <= per_arc_tol or (diff >= last and m >= stall_m)
+                        or m >= 1024):
                     val = new
                     break
             val, m = new, 2 * m
@@ -139,7 +152,7 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
 
 def constant_evaluator() -> ArcEvaluator:
     """Evaluator of the constant series 1 (orthogonality test target)."""
-    return lambda h, k, z: 1.0
+    return lambda h, k, z: np.ones(np.shape(z))
 
 
 def nu_terms_for(n: int) -> int:
@@ -148,13 +161,12 @@ def nu_terms_for(n: int) -> int:
     return 64 if isqrt(n) <= 2 else 24
 
 
-def _prefactor(r: int, M: int, alpha_sum: int, h: int, k: int,
-               z: complex) -> complex:
+def _prefactor(r: int, M: int, alpha_sum: int, h: int, k: int, z):
     # q^(-r^2 alpha_sum/(2M)) at q = e(tau), tau = (h+iz)/k, with the rational
-    # phase reduced exactly
+    # phase reduced exactly; z a complex or an array of them
     c = r * r * alpha_sum
     den = 2 * M * k
-    return _unit_phase(-h * c, den) * cmath.exp(2 * cmath.pi * z * c / den)
+    return _unit_phase(-h * c, den) * np.exp(2 * np.pi * z * c / den)
 
 
 def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -162,17 +174,19 @@ def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     """Direct-summation evaluator of the J-indexed product series.
 
     Each factor is the defining one-dimensional sum with a certified Gaussian
-    tail; no modular transformation is involved.
+    tail; no modular transformation is involved.  Each distinct
+    (alpha_j, j in J) factor is summed once per call, over all of z.
     """
     J = frozenset(J)
+    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
 
-    def f(h: int, k: int, z: complex) -> complex:
+    def f(h: int, k: int, z: np.ndarray) -> np.ndarray:
+        factors = {(a, in_J): theta_eval_direct_arc(r, 2 * M, 2 * a, h, k, z)
+                   if in_J else false_theta_eval_direct_arc(r, M, 2 * a, h, k, z)
+                   for a, in_J in set(coords)}
         out = _prefactor(r, M, sum(alpha), h, k, z)
-        for j, a in enumerate(alpha, start=1):
-            if j in J:
-                out *= theta_eval_direct_arc(r, 2 * M, 2 * a, h, k, z)
-            else:
-                out *= false_theta_eval_direct_arc(r, M, 2 * a, h, k, z)
+        for c in coords:
+            out *= factors[c]
         return out
 
     return f
@@ -183,7 +197,7 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
                           nu_terms: int = 24) -> ArcEvaluator:
     """Evaluator of the same product via the Gauss-sum expansions near each
     cusp (theta factors by the modular inversion, sign-weighted factors with
-    their principal-value correction).
+    their principal-value correction), one node of z at a time.
 
     Pointwise errors are amplified by exp(2 pi n / N^2) in the contour sum,
     so callers working at small N should raise nu_terms (see
@@ -191,7 +205,7 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     """
     J = frozenset(J)
 
-    def f(h: int, k: int, z: complex) -> complex:
+    def at(h: int, k: int, z: complex) -> complex:
         out = _prefactor(r, M, sum(alpha), h, k, z)
         for j, a in enumerate(alpha, start=1):
             if j in J:
@@ -200,6 +214,9 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
                 out *= false_theta_eval_transformed(r, M, a, h, k, z,
                                                     nu_terms=nu_terms)
         return out
+
+    def f(h: int, k: int, z: np.ndarray) -> np.ndarray:
+        return np.array([at(h, k, p) for p in z.tolist()], dtype=complex)
 
     return f
 
@@ -226,9 +243,9 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
     c_shift = r * r * sum(alpha) / (2.0 * M)
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
     nu_max = int(idx.max(initial=0))
-    for h, k, nodes in _arc_walk(N):
+    for h, k, sides in _arc_walk(N):
         phase_n = _unit_phase(-n * h, k)
-        phi, w = nodes(24)
+        phi, w = _arc_rule(sides, 24)
         for p, wgt in zip(phi.tolist(), w.tolist()):
             z = _arc_z(k, N, p)
             tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max)

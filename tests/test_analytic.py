@@ -77,6 +77,77 @@ def test_direct_arc_variants_match_generic():
                - an.false_theta_eval_direct_arc(1, 2, 2, 0, 1, plain)) < 1e-11
 
 
+def _criterion5_direct_points():
+    """(evaluator, modulus, signed, args, zs) of both direct evaluators for
+    each of ``THETA_CONFIGS`` on every order-20 arc with k <= 10, zs the
+    arc's left end, centre and right end (the criterion-5 grid)."""
+    for r, M, aj in checks.THETA_CONFIGS:
+        for arc in arcs(20):
+            if arc.k > 10:
+                continue
+            zs = an._arc_z(arc.k, 20, np.array(
+                [-float(arc.theta_left), 0.0, float(arc.theta_right)]))
+            yield (an.theta_eval_direct_arc, 2 * M, False,
+                   (r, 2 * M, 2 * aj, arc.h, arc.k), zs)
+            yield (an.false_theta_eval_direct_arc, 2 * M, True,
+                   (r, M, 2 * aj, arc.h, arc.k), zs)
+
+
+def test_direct_evaluators_match_mpmath_oracle():
+    # the defining sums at 40 digits, summed independently of _lattice_sum:
+    # q^(nu^2) by the recurrence of its ratios along each direction, the
+    # phases from a table of roots of unity, cut where q^(nu^2) < 1e-30
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+    roots = {}
+
+    def reference(r, mod, signed, scale, h, k, z):
+        den = 2 * mod * k
+        if den not in roots:
+            roots[den] = [mp.expjpi(mp.mpf(2 * j) / den) for j in range(den)]
+        q = mp.exp(-2 * mp.pi * scale * mp.mpc(z.real, z.imag) / den)
+        total = mp.mpc(0)
+        lift = q ** (2 * mod * mod)
+        for nu, step in ((r % mod, mod), (r % mod - mod, -mod)):
+            term, ratio = q ** (nu * nu), q ** (2 * nu * step + step * step)
+            while abs(nu) <= mod or abs(term) >= 1e-30:
+                if nu or not signed:
+                    phase = roots[den][(scale * nu * nu * h) % den]
+                    total += (-1 if signed and nu < 0 else 1) * phase * term
+                term, ratio, nu = term * ratio, ratio * lift, nu + step
+        return complex(total)
+
+    worst = 0.0
+    for fn, mod, signed, (r, m_arg, scale, h, k), zs in _criterion5_direct_points():
+        for z in zs.tolist():
+            ref = reference(r, mod, signed, scale, h, k, z)
+            got = fn(r, m_arg, scale, h, k, z)
+            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-13, worst
+
+
+def test_direct_array_call_matches_scalar_calls():
+    for fn, _, _, args, zs in _criterion5_direct_points():
+        got = fn(*args, zs)
+        assert got.shape == zs.shape
+        want = [fn(*args, z) for z in zs.tolist()]
+        for g, w in zip(got.tolist(), want):
+            assert isinstance(w, complex)
+            assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
+
+
+def test_direct_tail_cutoff_refused_up_front():
+    # Re z = 1e-20 puts the Gaussian cutoff near |nu| = 1e10, past the 1e7
+    # limit; the sum is refused before any term is added
+    for fn, args in ((an.theta_eval_direct_arc, (1, 4, 2, 0, 1)),
+                     (an.false_theta_eval_direct_arc, (1, 2, 2, 0, 1))):
+        with pytest.raises(an.QuadratureError):
+            fn(*args, 1e-20 + 0.3j)
+        with pytest.raises(an.QuadratureError):
+            fn(*args, np.array([0.5 - 0.1j, 1e-20 + 0.3j]))
+
+
 def test_direct_eval_rejects_lower_half_plane():
     # z = -i tau for tau = 0.3 - 0.1i and tau = 0.3, then two more z
     for z in (-0.1 - 0.3j, -0.3j, 0.0 - 0.2j, -0.1 + 0.3j):
