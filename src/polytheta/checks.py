@@ -35,7 +35,8 @@ def transformation_pairs(kind: str, k_max: int, N: int):
     """Yield (r, M, alpha_j, h, k, z, direct, transformed) of lemma 4.1
     (theta sums) or 4.2 (sign-weighted sums) for each of ``THETA_CONFIGS``
     on every order-N arc with k <= k_max, at its left end, centre and right
-    end z = k (1/N^2 - i phi).  N is capped at 20."""
+    end z = k (1/N^2 - i phi), the three direct values from one array call.
+    N is capped at 20."""
     direct_eval, m_factor, transformed_eval = _TRANSFORMS[kind]
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -45,10 +46,11 @@ def transformation_pairs(kind: str, k_max: int, N: int):
             if arc.k > k_max:
                 continue
             h, k = arc.h, arc.k
-            for phi in (-float(arc.theta_left), 0.0, float(arc.theta_right)):
-                z = analytic._arc_z(k, N, phi)
-                yield (r, M, aj, h, k, z, direct_eval(r, m_factor * M, 2 * aj, h, k, z),
-                       transformed_eval(r, M, aj, h, k, z))
+            zs = analytic._arc_z(k, N, np.array(
+                [-float(arc.theta_left), 0.0, float(arc.theta_right)]))
+            direct = direct_eval(r, m_factor * M, 2 * aj, h, k, zs)
+            for z, d in zip(zs.tolist(), direct):
+                yield r, M, aj, h, k, z, d, transformed_eval(r, M, aj, h, k, z)
 
 
 PV_GRID = [

@@ -49,7 +49,9 @@ class FareyArc(NamedTuple):
 
     @property
     def measure(self) -> Fraction:
-        return self.theta_left + self.theta_right
+        """theta_left + theta_right, over their common denominator."""
+        k, k1, k2 = self.k, self.k1, self.k2
+        return Fraction(2 * k + k1 + k2, k * (k + k1) * (k + k2))
 
 
 def farey_sequence(N: int) -> list[tuple[int, int]]:

@@ -1,10 +1,11 @@
 """Exact truncated series in a fractional power of q.
 
 A ``QSeries`` lives on the exponent lattice (1/D) * Z: coefficients are exact
-rationals keyed by integer lattice index (negative indices are allowed, so
-Laurent-type prefactors work).  Indices at or beyond ``order`` are *unknown*,
-not zero, and every operation tracks the tightest truncation order it can
-guarantee for its result.  No floating point appears anywhere in this module.
+rationals, stored as ``int`` where integral, keyed by integer lattice index
+(negative indices are allowed, so Laurent-type prefactors work).  Indices at
+or beyond ``order`` are *unknown*, not zero, and every operation tracks the
+tightest truncation order it can guarantee for its result.  No floating point
+appears anywhere in this module.
 """
 from __future__ import annotations
 
@@ -22,16 +23,24 @@ class TruncationError(KeyError):
 
 
 class QSeries:
-    """Truncated series sum_i c_i q^(i/D) with Fraction coefficients."""
+    """Truncated series sum_i c_i q^(i/D) with exact rational coefficients,
+    stored as ``int`` where integral.
+
+    Every product and sum of integral coefficients then runs on machine
+    integers; ``coeff`` and ``coeff_index`` still return a ``Fraction``.
+    """
 
     __slots__ = ("D", "order", "coeffs")
 
     def __init__(self, D: int, order: int, coeffs: Mapping[int, Rational]):
         if D < 1:
             raise ValueError(f"lattice denominator must be positive, got {D}")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Rational] = {}
         for idx, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c == 0:
                 continue
             if idx >= order:
@@ -68,7 +77,7 @@ class QSeries:
             raise TruncationError(
                 f"lattice index {idx} is at or beyond truncation order {self.order}"
             )
-        return self.coeffs.get(idx, Fraction(0))
+        return Fraction(self.coeffs.get(idx, 0))
 
     def coeff(self, exponent: Rational) -> Fraction:
         """Coefficient of q^exponent (0 off-lattice, error beyond truncation)."""
@@ -80,9 +89,9 @@ class QSeries:
             )
         if idx.denominator != 1:
             return Fraction(0)
-        return self.coeffs.get(int(idx), Fraction(0))
+        return Fraction(self.coeffs.get(int(idx), 0))
 
-    def items(self) -> list[tuple[int, Fraction]]:
+    def items(self) -> list[tuple[int, Rational]]:
         return sorted(self.coeffs.items())
 
     def __repr__(self) -> str:
@@ -132,7 +141,7 @@ class QSeries:
         coeffs = {i: c for i, c in a.coeffs.items() if i < order}
         for i, c in b.coeffs.items():
             if i < order:
-                s = coeffs.get(i, Fraction(0)) + c
+                s = coeffs.get(i, 0) + c
                 if s:
                     coeffs[i] = s
                 elif i in coeffs:
@@ -166,14 +175,14 @@ class QSeries:
         a, b = self._common(other)
         order = min(a.order + b.effective_valuation,
                     b.order + a.effective_valuation)
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Rational] = {}
         bi = b.items()
         for i, c in a.coeffs.items():
             for j, d in bi:
                 k = i + j
                 if k >= order:
                     break
-                s = coeffs.get(k, Fraction(0)) + c * d
+                s = coeffs.get(k, 0) + c * d
                 if s:
                     coeffs[k] = s
                 elif k in coeffs:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytheta import arith
 from polytheta.counting import (ALL_INTEGERS, NON_NEGATIVE, POSITIVE,
@@ -160,6 +162,21 @@ def test_tables_match_per_index_counters():
         tab = squares_count_table(cinst, 120)
         for n in range(121):
             assert tab[n] == count_squares(cinst, n)
+
+
+small_polygonal = st.tuples(
+    st.integers(5, 8), st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.integers(0, 150), st.sampled_from([ALL_INTEGERS, NON_NEGATIVE, POSITIVE]))
+
+
+@given(small_polygonal, st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_matches_counter_and_ignores_alpha_order(case, data):
+    m, alpha, nmax, dom = case
+    tab = polygonal_count_table(PolygonalInstance(m=m, alpha=tuple(alpha)), nmax, dom)
+    inst = PolygonalInstance(m=m, alpha=tuple(data.draw(st.permutations(alpha))))
+    assert tab.tolist() == [count_polygonal(inst, n, dom) for n in range(nmax + 1)]
+    assert np.array_equal(polygonal_count_table(inst, nmax, dom), tab)
 
 
 def test_zero_one_gap_exponent():

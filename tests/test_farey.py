@@ -46,6 +46,14 @@ def test_measures_sum_to_one_exactly():
         assert sum(a.measure for a in arcs(N)) == 1
 
 
+def test_measure_is_sum_of_half_arcs():
+    corrupted = arcs(9)
+    corrupted[3] = corrupted[3]._replace(N=15)
+    corrupted[4] = corrupted[4]._replace(h1=corrupted[4].h1 + 1)
+    all_arcs = [a for N in range(1, 81) for a in arcs(N)] + corrupted
+    assert all(a.measure == a.theta_left + a.theta_right for a in all_arcs)
+
+
 def test_rho_bounds():
     assert farey_structure(60, ("rho_range",))[1] is None
 

@@ -128,3 +128,23 @@ def test_rejects_bad_construction():
         QSeries(1, 5, {0: 1}).substitute(0)
     with pytest.raises(ValueError):
         QSeries(1, 5, {0: 1}).rescale(3).rescale(2)
+
+
+def assert_canonical(f: QSeries):
+    # integral coefficients are stored as int, the others as Fraction
+    for idx, c in f.coeffs.items():
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        assert type(f.coeff_index(idx)) is Fraction
+    assert type(f.coeff_index(f.order - 1)) is Fraction
+
+
+@given(series_strategy(), series_strategy(),
+       st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4))
+@settings(max_examples=100, deadline=None)
+def test_integral_coefficients_stored_as_int(f, g, a):
+    for h in (f, f + g, f - g, f * g, f.scale(Fraction(2, 3)), f.scale(-4),
+              f.shift(Fraction(-3, 2)), f.substitute(a),
+              f.truncate(f.truncation - Fraction(1, f.D)), f.rescale(2 * f.D),
+              f.normalize()):
+        assert_canonical(h)

@@ -94,7 +94,7 @@ def test_star_theta_fourth_power_cho():
 
 
 def test_decomposition_check_cases():
-    assert decomposition_check(1, 2, (1, 1, 1, 1), 200).ok
+    assert decomposition_check(1, 2, (1, 1, 1, 1), 8000).ok
     assert decomposition_check(5, 6, (1, 1, 1, 1), 120).ok
     assert decomposition_check(5, 3, (2, 1, 1, 1), 120).ok
 
