@@ -23,7 +23,11 @@ The theta sums are evaluated in two ways, each by one kernel:
   transformed evaluators sum it over nu; the circle-method nu-decomposition
   (``circle.i_nu_contributions``) multiplies it across the four coordinates.
   Off J its nu = 0 entry is the principal-value window sum
-  ``_window_entry``.
+  ``_window_entry``.  Like the direct route it takes a scalar z or the
+  array of one rule's nodes (nodes on the trailing axis of every table):
+  T is built once per call, the nu cutoff is taken from the node of
+  smallest decay, and the Faddeeva evaluations of the window sum run over
+  the nodes in chunks of at most ``_PV_CHUNK`` entries.
 
 Three routes to the principal-value integral are provided:
 
@@ -241,59 +245,80 @@ def _gauss_terms(r: int, M: int, alpha_j: int, h: int, k: int,
     return np.exp((2j * np.pi / den) * ((r * d) % den)) * gtab[(b0 + d) % k]
 
 
-def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
+def _by_node(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v with one trailing unit axis per axis of z, so that it broadcasts
+    against z (the nodes go on the trailing axis)."""
+    return v.reshape(v.shape + (1,) * z.ndim)
+
+
+def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z,
                   in_J: bool, nu_max: int, nu_terms: int = 24) -> np.ndarray:
     """F(nu) = g(nu) [T(nu) + T(-nu)] on J and g(nu) [T(nu) - T(-nu)] off J,
     with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max; off J
     the nu = 0 entry is ``_window_entry`` (with ``nu_terms`` shifted pairs).
+    z is a complex or a 1-D array of them; the result has nu on its first
+    axis and z's shape after it.
 
     One coordinate of the expanded arc integrand: the transformed evaluators
     sum it over nu (halving nu = 0), and the nu-decomposition multiplies it
     across coordinates.
     """
+    z = np.asarray(z, dtype=complex)
     nus = np.arange(nu_max + 1)
     t = _gauss_terms(r, M, alpha_j, h, k, np.arange(-nu_max, nu_max + 1))
     plus, minus = t[nu_max:], t[nu_max::-1]
-    g = np.exp((-np.pi / (4 * M * k * alpha_j * z)) * (nus * nus))
-    if in_J:
-        return g * (plus + minus)
-    f = g * (plus - minus)
-    f[0] = _window_entry(r, M, alpha_j, h, k, z, nu_terms)
+    g = np.exp(_by_node(nus * nus, z) * (-np.pi / (4 * M * k * alpha_j * z)))
+    f = _by_node(plus + minus if in_J else plus - minus, z) * g
+    if not in_J:
+        f[0] = _window_entry(r, M, alpha_j, h, k, z, nu_terms)
     return f
 
 
-def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
-                  nu_terms: int = 24) -> complex:
+def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z,
+                  nu_terms: int = 24) -> np.ndarray:
     """The off-J nu = 0 entry of the factor: 2 (i/pi) sum_l T(l) S_l over
     the window l in [1-Mk, -1] u [1, Mk], where S_l is the nu-sum of
-    principal-value integrals (the factor 2 is the eps-sum at nu = 0)."""
-    window = lattice_window(M * k)
-    sums = nu_sum_batch(window, M, alpha_j, k, z, terms=nu_terms)
-    terms = _gauss_terms(r, M, alpha_j, h, k, np.array(window))
-    return complex(2j / np.pi * (terms * sums).sum())
+    principal-value integrals (the factor 2 is the eps-sum at nu = 0); an
+    array of z's shape.
+
+    The principal-value integral is odd in mu, so S_{-l} = -S_l, and S_Mk
+    = 0 (its arguments Mk (2 Z + 1) are symmetric about 0): the window sum
+    is taken as sum over l = 1..Mk-1 of [T(l) - T(-l)] S_l.
+    """
+    z = np.asarray(z, dtype=complex)
+    ells = np.arange(1, M * k)
+    sums = nu_sum_batch(ells, M, alpha_j, k, z, terms=nu_terms)
+    terms = (_gauss_terms(r, M, alpha_j, h, k, ells)
+             - _gauss_terms(r, M, alpha_j, h, k, -ells))
+    return 2j / np.pi * (_by_node(terms, z) * sums).sum(axis=0)
 
 
-def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z: complex,
-                     in_J: bool, nu_terms: int) -> complex:
+def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z,
+                     in_J: bool, nu_terms: int):
     """The prefactor e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k alpha_j z)) times
     the nu-sum of ``_gauss_factor`` (nu = 0 halved), cut where the Gaussian
-    envelope is below 1e-18; off J the nu = 0 entry is ``_window_entry``."""
+    envelope is below 1e-18 at the node of smallest decay (each further term
+    is below 1e-18 of the envelope at every node); off J the nu = 0 entry is
+    ``_window_entry``.  A complex z gives a complex, a 1-D array of z an
+    array of the same shape."""
     if math.gcd(h, k) != 1:
         raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
+    z = np.asarray(z, dtype=complex)
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
-        2 * cmath.sqrt(M * k * alpha_j * z))
+        2 * np.sqrt(M * k * alpha_j * z))
     # the first nu > 8 where |g(nu)| = exp(-Re(pi/(4 M k alpha_j z)) nu^2)
-    # is below 1e-18
-    decay = (cmath.pi / (4 * M * k * alpha_j * z)).real
+    # is below 1e-18 at every node
+    decay = float(np.min((np.pi / (4 * M * k * alpha_j * z)).real))
     f = _gauss_factor(r, M, alpha_j, h, k, z, in_J,
                       _gaussian_cutoff(decay, 1e-18, 9), nu_terms)
-    return pref * complex(f[0] / 2 + f[1:].sum())
+    out = pref * (f[0] / 2 + f[1:].sum(axis=0))
+    return complex(out) if out.ndim == 0 else out
 
 
-def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
-                           z: complex) -> complex:
+def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int, z):
     """Gauss-sum expansion of the two-sided theta sum for the class r mod 2M,
-    at argument 2 alpha_j (h + i z)/k.
+    at argument 2 alpha_j (h + i z)/k; z is a complex (the value is a
+    complex) or a 1-D array of them (one value each).
 
     Matches theta_eval_direct_arc(r, 2M, 2*alpha_j, h, k, z) up to the Gaussian
     tail cutoff; cost is O(k) Gauss-sum table setup plus a handful of terms.
@@ -302,9 +327,9 @@ def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
 
 
 def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
-                                 z: complex, nu_terms: int = 24) -> complex:
+                                 z, nu_terms: int = 24):
     """Gauss-sum expansion of the sign-weighted theta sum for the class
-    r mod 2M, at argument 2 alpha_j (h + i z)/k.
+    r mod 2M, at argument 2 alpha_j (h + i z)/k; z as for the two-sided sum.
 
     The sign-weighted sum is not modular; the expansion carries, besides the
     theta-like Gauss-sum part, a correction assembled from principal-value
@@ -394,23 +419,22 @@ def pv_integral_direct(params: PVIntegralParams, tol: float = 1e-11) -> complex:
 
 
 def pv_closed_form_batch(mus: np.ndarray, M: int, alpha_j: int, k: int,
-                         z: complex) -> np.ndarray:
+                         z) -> np.ndarray:
     """Faddeeva-function closed form of the principal-value integral, for
-    each entry of an array of nonzero integers mu.
+    each entry of an array of nonzero integers mu, at a complex z (an array
+    of mus' shape) or a 1-D array of z (mus' shape, then z's).
 
-    With a = mu sqrt(pi V): pi i [(sgn(mu) + 1) exp(-a^2) - wofz(-a)].
+    With a = mu sqrt(pi V): pi i [(sgn(mu) + 1) exp(-a^2) - wofz(-a)],
+    which is pi i sgn(mu) wofz(|mu| sqrt(pi V)) by wofz(-a) = 2 exp(-a^2) -
+    wofz(a); one Faddeeva call per entry and no exponential.
     Odd in mu; asymptotically -2 sqrt(M k alpha_j z)/mu for large |mu|.
     """
     from scipy.special import wofz
 
-    V = 1.0 / (4.0 * M * k * alpha_j * z)
-    s = np.sqrt(np.pi * V)
-    a = mus * s
-    vals = -np.pi * 1j * wofz(-a)
-    pos = mus > 0
-    if np.any(pos):
-        vals[pos] += 2j * np.pi * np.exp(-a[pos] * a[pos])
-    return vals
+    mus = np.asarray(mus)
+    z = np.asarray(z, dtype=complex)
+    s = np.sqrt(np.pi / (4.0 * M * k * alpha_j * z))
+    return _by_node(np.pi * 1j * np.sign(mus), z) * wofz(_by_node(np.abs(mus), z) * s)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +506,22 @@ def lattice_window(d: int) -> list[int]:
     return list(range(1 - d, 0)) + list(range(1, d + 1))
 
 
-def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z: complex,
+# entries of (window index, shifted pair, node) per Faddeeva call: the nodes
+# of one rule go through nu_sum_batch in chunks of at most this many entries
+# (one node at a time where its window alone is larger)
+_PV_CHUNK = 8192
+
+
+def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z,
                  terms: int = 24) -> np.ndarray:
     """For each l in ells: the nu=0-halved sum over nu >= 0 and both signs of
-    the principal-value integrals at arguments l +- 2 M k nu.
+    the principal-value integrals at arguments l +- 2 M k nu, at a complex z
+    (an array over ells) or a 1-D array of z (ells on the first axis, z's
+    shape after it).
 
     The first ``terms`` shifted pairs are evaluated with the closed form; the
-    remainder is summed analytically from the 1/mu and 1/mu^3 asymptotics
-    (digamma and Hurwitz-zeta tails).  The residual error decays like
+    remainder is summed analytically from the 1/mu, 1/mu^3 and 1/mu^5
+    asymptotics (digamma and Hurwitz-zeta tails).  The residual error decays like
     terms^(-4).
     """
     from scipy.special import digamma, zeta
@@ -497,6 +529,7 @@ def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z: complex,
     ells = np.asarray(list(ells), dtype=np.int64)
     if np.any(ells == 0) or np.any(np.abs(ells) > M * k) or np.any(ells < 1 - M * k):
         raise ValueError("window indices must lie in [1-Mk, -1] or [1, Mk]")
+    z = np.asarray(z, dtype=complex)
     step = 2 * M * k
     nu = np.arange(1, terms + 1, dtype=np.int64)
     # arguments: l itself, then the +- pairs for nu = 1..terms
@@ -504,9 +537,12 @@ def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z: complex,
         ells[:, None],
         ells[:, None] + step * nu[None, :],
         ells[:, None] - step * nu[None, :],
-    ], axis=1)
-    vals = pv_closed_form_batch(mus.astype(np.float64), M, alpha_j, k, z)
-    partial = vals.sum(axis=1)
+    ], axis=1).astype(np.float64)
+    nodes = z.reshape(-1)
+    per = max(1, _PV_CHUNK // max(mus.size, 1))
+    partial = np.concatenate(
+        [pv_closed_form_batch(mus, M, alpha_j, k, nodes[i:i + per]).sum(axis=1)
+         for i in range(0, nodes.size, per)], axis=1).reshape(ells.shape + z.shape)
     # analytic tails from the large-mu expansion: mainC/mu + cubicC/mu^3 +
     # quinticC/mu^5 + O(mu^-7); paired tails reduce to digamma and
     # Hurwitz-zeta differences
@@ -517,9 +553,9 @@ def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z: complex,
     quinticC = -3.0 / (4.0 * np.pi**2 * Vc * Vc * sqVc)
     x = ells / step
     V1 = terms + 1
-    tail = mainC / step * (digamma(V1 - x) - digamma(V1 + x))
-    tail += cubicC / step**3 * (zeta(3, V1 + x) - zeta(3, V1 - x))
-    tail += quinticC / step**5 * (zeta(5, V1 + x) - zeta(5, V1 - x))
+    tail = mainC / step * _by_node(digamma(V1 - x) - digamma(V1 + x), z)
+    tail += cubicC / step**3 * _by_node(zeta(3, V1 + x) - zeta(3, V1 - x), z)
+    tail += quinticC / step**5 * _by_node(zeta(5, V1 + x) - zeta(5, V1 - x), z)
     return partial + tail
 
 

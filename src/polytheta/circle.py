@@ -7,6 +7,9 @@ dissected along the order-N Farey arcs.  Evaluators receive (h, k, z) so both
 the direct-summation route and the Gauss-sum transformed route can reduce
 rational phases exactly; z is the array of one rule's nodes on the arc, and
 the evaluator returns the series values there as an array of the same shape.
+Both the direct (``series_evaluator``) and the transformed
+(``transformed_evaluator``) evaluators compute each distinct
+(alpha_j, j in J) factor once per call, over the whole node array.
 
 Both drivers walk the arcs in (k, h) order with m-point Gauss-Legendre rules
 on [-theta_left, 0] and [0, theta_right], split where the integrand peaks
@@ -15,12 +18,12 @@ rule and doubles m from 16 per arc until two rules agree to the arc's share
 of the tolerance, stop converging (the evaluator's roundoff floor, once m
 has a few nodes per period of e(-n phi) on the wider side) or reach
 m = 1024; ``quad_error`` sums exp(2 pi n/N^2) times each arc's last
-difference.  The nu-decomposition takes m = 24 and indexes one table of
-``analytic._gauss_factor`` per coordinate and node by every nu.
+difference.  The nu-decomposition takes m = 24, builds one table of
+``analytic._gauss_factor`` per distinct coordinate over all nodes of an arc,
+and indexes its row at each node by every nu.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,21 +172,16 @@ def _prefactor(r: int, M: int, alpha_sum: int, h: int, k: int, z):
     return _unit_phase(-h * c, den) * np.exp(2 * np.pi * z * c / den)
 
 
-def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
-                     J: frozenset[int] | set[int]) -> ArcEvaluator:
-    """Direct-summation evaluator of the J-indexed product series.
-
-    Each factor is the defining one-dimensional sum with a certified Gaussian
-    tail; no modular transformation is involved.  Each distinct
-    (alpha_j, j in J) factor is summed once per call, over all of z.
-    """
+def _product_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
+                       J: frozenset[int] | set[int], factor) -> ArcEvaluator:
+    """The J-indexed product: the prefactor times factor(alpha_j, j in J,
+    h, k, z) over the four coordinates, each distinct (alpha_j, j in J)
+    factor evaluated once per call, over all of z."""
     J = frozenset(J)
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
 
     def f(h: int, k: int, z: np.ndarray) -> np.ndarray:
-        factors = {(a, in_J): theta_eval_direct_arc(r, 2 * M, 2 * a, h, k, z)
-                   if in_J else false_theta_eval_direct_arc(r, M, 2 * a, h, k, z)
-                   for a, in_J in set(coords)}
+        factors = {c: factor(*c, h, k, z) for c in set(coords)}
         out = _prefactor(r, M, sum(alpha), h, k, z)
         for c in coords:
             out *= factors[c]
@@ -192,33 +190,37 @@ def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     return f
 
 
+def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
+                     J: frozenset[int] | set[int]) -> ArcEvaluator:
+    """Direct-summation evaluator of the J-indexed product series.
+
+    Each factor is the defining one-dimensional sum with a certified Gaussian
+    tail; no modular transformation is involved.  Each distinct
+    (alpha_j, j in J) factor is summed once per call, over all of z.
+    """
+    return _product_evaluator(
+        r, M, alpha, J,
+        lambda a, in_J, h, k, z: theta_eval_direct_arc(r, 2 * M, 2 * a, h, k, z)
+        if in_J else false_theta_eval_direct_arc(r, M, 2 * a, h, k, z))
+
+
 def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
                           J: frozenset[int] | set[int],
                           nu_terms: int = 24) -> ArcEvaluator:
     """Evaluator of the same product via the Gauss-sum expansions near each
     cusp (theta factors by the modular inversion, sign-weighted factors with
-    their principal-value correction), one node of z at a time.
+    their principal-value correction).  Each distinct (alpha_j, j in J)
+    factor is expanded once per call, over all of z.
 
     Pointwise errors are amplified by exp(2 pi n / N^2) in the contour sum,
     so callers working at small N should raise nu_terms (see
     ``nu_terms_for``).
     """
-    J = frozenset(J)
-
-    def at(h: int, k: int, z: complex) -> complex:
-        out = _prefactor(r, M, sum(alpha), h, k, z)
-        for j, a in enumerate(alpha, start=1):
-            if j in J:
-                out *= theta_eval_transformed(r, M, a, h, k, z)
-            else:
-                out *= false_theta_eval_transformed(r, M, a, h, k, z,
-                                                    nu_terms=nu_terms)
-        return out
-
-    def f(h: int, k: int, z: np.ndarray) -> np.ndarray:
-        return np.array([at(h, k, p) for p in z.tolist()], dtype=complex)
-
-    return f
+    return _product_evaluator(
+        r, M, alpha, J,
+        lambda a, in_J, h, k, z: theta_eval_transformed(r, M, a, h, k, z)
+        if in_J else false_theta_eval_transformed(r, M, a, h, k, z,
+                                                  nu_terms=nu_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +232,10 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        nus: Sequence[tuple[int, int, int, int]],
                        n: int) -> dict[tuple[int, int, int, int], complex]:
     """Arc-sum contributions indexed by nu, sharing quadrature nodes and
-    nu-sum tables across all requested nu (24 nodes per side): at each node
-    the ``_gauss_factor`` table of each distinct (alpha_j, in J) over
-    nu_j = 0..max is indexed by the columns of the nu array."""
+    nu-sum tables across all requested nu (24 nodes per side): per arc, one
+    ``_gauss_factor`` table of each distinct (alpha_j, in J) over
+    nu_j = 0..max and all nodes, whose row at each node is indexed by the
+    columns of the nu array."""
     J = frozenset(J)
     if J == FULL_J:
         raise ValueError("the nu-decomposition needs at least one factor off J")
@@ -244,17 +247,17 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
     nu_max = int(idx.max(initial=0))
     for h, k, sides in _arc_walk(N):
-        phase_n = _unit_phase(-n * h, k)
         phi, w = _arc_rule(sides, 24)
-        for p, wgt in zip(phi.tolist(), w.tolist()):
-            z = _arc_z(k, N, p)
-            tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max)
-                      for c in set(coords)}
-            t1, t2, t3, t4 = (tables[c] for c in coords)
-            base = cmath.exp(2 * cmath.pi * (n + c_shift) * z / k) / \
-                (k * k * z * z)
-            acc += (phase_n * wgt * base) * (t1[idx[:, 0]] * t2[idx[:, 1]]
-                                             * t3[idx[:, 2]] * t4[idx[:, 3]])
+        z = _arc_z(k, N, phi)
+        # one table per distinct coordinate over all nodes, one row per node
+        tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max).T
+                  for c in set(coords)}
+        base = (_unit_phase(-n * h, k) * w) * np.exp(
+            2 * np.pi * (n + c_shift) * z / k) / (k * k * z * z)
+        for i, b in enumerate(base.tolist()):
+            t1, t2, t3, t4 = (tables[c][i] for c in coords)
+            acc += b * (t1[idx[:, 0]] * t2[idx[:, 1]] * t3[idx[:, 2]]
+                        * t4[idx[:, 3]])
     return dict(zip(keys, acc.tolist()))
 
 

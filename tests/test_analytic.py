@@ -6,6 +6,7 @@ import pytest
 
 from polytheta import analytic as an
 from polytheta import checks
+from polytheta.circle import _arc_rule
 from polytheta.farey import arcs
 
 
@@ -210,6 +211,36 @@ def test_transformed_requires_coprime():
         an.false_theta_eval_transformed(1, 2, 1, 2, 4, 0.1 + 0j)
 
 
+def _rule_points():
+    """(r, M, alpha_j, h, k, z) for each of ``THETA_CONFIGS`` on the arcs
+    of one order N with k = 1, 2, a middle k or N and h <= k/2, z the nodes
+    of the 32-point rules on both sides of the cusp, as the contour places
+    them."""
+    for (r, M, aj), N in zip(checks.THETA_CONFIGS, (6, 9, 12, 20)):
+        for arc in arcs(N):
+            if arc.k in (1, 2, N // 2 + 1, N) and 2 * arc.h <= arc.k:
+                phi, _ = _arc_rule(np.array([-float(arc.theta_left),
+                                             float(arc.theta_right)]), 32)
+                yield r, M, aj, arc.h, arc.k, an._arc_z(arc.k, N, phi)
+
+
+def test_transformed_array_matches_scalar_at_every_node():
+    # one array call of _transformed_sum per rule against the public scalar
+    # evaluators node by node (each node's own nu cutoff)
+    count = 0
+    for r, M, aj, h, k, zs in _rule_points():
+        for fn, in_J in ((an.theta_eval_transformed, True),
+                         (an.false_theta_eval_transformed, False)):
+            got = an._transformed_sum(r, M, aj, h, k, zs, in_J, 24)
+            assert got.shape == zs.shape
+            for g, z in zip(got.tolist(), zs.tolist()):
+                want = fn(r, M, aj, h, k, z)
+                assert isinstance(want, complex)
+                assert abs(g - want) <= 1e-12 * abs(want), (fn.__name__, r, M, h, k, z)
+                count += 1
+    assert count >= 2 * 4 * 4 * 64
+
+
 # ---------------------------------------------------------------------------
 # principal-value integral
 # ---------------------------------------------------------------------------
@@ -232,6 +263,29 @@ def test_pv_closed_form_matches_split(mu, M, aj, k, z):
     split = an.pv_integral(p)
     closed = an.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
     assert abs(split - closed) / abs(split) < 1e-10
+
+
+def test_pv_closed_form_matches_mpmath_quadrature():
+    # 30 digits, independent of the Faddeeva form: the principal value as
+    # int_0^inf [g(mu + t) - g(mu - t)]/t dt, g(x) = exp(-pi V x^2), plus
+    # the half-residue sgn(mu) pi i g(mu)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 30
+    worst = 0.0
+    for mu, M, aj, k, z in PV_CASES:
+        w = mp.pi / (4 * M * k * aj * mp.mpc(z.real, z.imag))
+
+        def g(x):
+            return mp.exp(-w * x * x)
+
+        m = abs(mu)
+        pv = mp.quad(lambda t: (g(mu + t) - g(mu - t)) / t,
+                     [0, m / 2, m, 1.5 * m, 2 * m, mp.inf])
+        ref = complex(pv + mp.sign(mu) * mp.pi * 1j * g(mu))
+        got = an.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
+        worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst < 1e-10, worst
 
 
 def test_pv_odd_in_mu():
@@ -397,3 +451,101 @@ def test_nu_sum_batch_matches_scalar():
     batch = an.nu_sum_batch(window, M, aj, k, z)
     for ell, val in zip(window[::7], batch[::7]):
         assert abs(val - an.nu_sum(ell, M, aj, k, z)) < 1e-14
+
+
+def _nu_sum_reference(ell, M, aj, k, z, pairs=100):
+    """The nu-sum at 30 digits: every pair through nu = pairs from the
+    Faddeeva form in mpmath, then the pairs past it from the large-mu series
+    of the principal value through its 1/mu^7 term (one more than the
+    program keeps) as digamma and Hurwitz-zeta differences."""
+    import mpmath
+    mp = mpmath.mp
+    Vc = 1 / (4 * M * k * aj * mp.mpc(z.real, z.imag))
+    sig = mp.sqrt(mp.pi * Vc)
+
+    def pv(mu):
+        x = abs(mu) * sig
+        return mp.sign(mu) * mp.pi * 1j * mp.exp(-x * x) * mp.erfc(-1j * x)
+
+    step = 2 * M * k
+    total = pv(ell) + mp.fsum(pv(ell + step * n) + pv(ell - step * n)
+                              for n in range(1, pairs + 1))
+    x, v1 = mp.mpf(ell) / step, pairs + 1
+    total += -1 / mp.sqrt(Vc) / step * (mp.digamma(v1 - x) - mp.digamma(v1 + x))
+    for p, c in ((3, 1 / (2 * mp.pi * Vc)), (5, 3 / (4 * (mp.pi * Vc) ** 2)),
+                 (7, 15 / (8 * (mp.pi * Vc) ** 3))):
+        total += -c / mp.sqrt(Vc) / step**p * (mp.zeta(p, v1 + x)
+                                                - mp.zeta(p, v1 - x))
+    return complex(total)
+
+
+def test_nu_sum_tail_matches_mpmath():
+    # the digamma/Hurwitz tail past `terms` pairs against a 30-digit sum,
+    # at the documented 5e-9 of the pv-sum oracle above; l = Mk is the
+    # symmetric lattice Mk(2Z+1), whose sum is 0
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    M, aj, k = 2, 1, 3
+    ells = [1, -2, 5, M * k]
+    for frac, N in ((0.35, 9), (-0.8, 7)):
+        z = arc_z(k, N, frac)
+        refs = [_nu_sum_reference(ell, M, aj, k, z) for ell in ells]
+        assert abs(refs[-1]) < 1e-25
+        for terms in (8, 24):
+            got = an.nu_sum_batch(ells, M, aj, k, z, terms=terms)
+            assert max(abs(g - w) for g, w in zip(got, refs)) < 5e-9, (frac, terms)
+
+
+def test_window_entry_uses_oddness_of_the_nu_sum():
+    # the half window [1, Mk - 1] with T(l) - T(-l) against the whole window
+    # [1 - Mk, -1] u [1, Mk] summed term by term
+    for r, M, aj, h, k, N, frac in [(1, 2, 1, 0, 1, 4, 0.3), (5, 4, 1, 1, 3, 10, -0.6),
+                                    (3, 4, 2, 2, 5, 12, 0.9), (5, 6, 1, 3, 7, 9, 0.1)]:
+        z = arc_z(k, N, frac)
+        window = an.lattice_window(M * k)
+        sums = an.nu_sum_batch(window, M, aj, k, z)
+        whole = 2j / np.pi * (an._gauss_terms(r, M, aj, h, k, np.array(window)) * sums).sum()
+        half = an._window_entry(r, M, aj, h, k, z)
+        assert abs(half - whole) <= 1e-13 * max(1.0, abs(whole)), (r, M, h, k)
+        assert abs(sums[-1]) < 1e-12  # l = Mk
+        # S_{-l} = -S_l: l = -1, ..., 1 - Mk against l = 1, ..., Mk - 1
+        np.testing.assert_allclose(sums[:M * k - 1][::-1], -sums[M * k - 1:-1],
+                                   rtol=1e-13, atol=1e-14)
+
+
+def test_nu_and_pv_batches_match_scalar_calls_by_column():
+    # one rule's nodes at once against each node alone; (M, k, terms) =
+    # (6, 7, 64) puts one node past the chunk size, so it runs node by node
+    for M, aj, k, N, terms in ((4, 1, 5, 11, 24), (6, 1, 7, 9, 64)):
+        phi, _ = _arc_rule(np.array([-1 / (k * (k + N)), 1 / (k * (k + N))]), 32)
+        zs = an._arc_z(k, N, phi)
+        window = an.lattice_window(M * k)
+        mus = np.array([[1, -3], [2 * M * k + 5, -7 * M * k]])
+        pv = an.pv_closed_form_batch(mus, M, aj, k, zs)
+        sums = an.nu_sum_batch(window, M, aj, k, zs, terms=terms)
+        assert pv.shape == mus.shape + zs.shape
+        assert sums.shape == (len(window),) + zs.shape
+        for i, z in enumerate(zs.tolist()):
+            assert np.array_equal(pv[..., i], an.pv_closed_form_batch(mus, M, aj, k, z))
+            one = an.nu_sum_batch(window, M, aj, k, z, terms=terms)
+            assert np.all(np.abs(sums[:, i] - one) <= 1e-14 * np.maximum(1.0, np.abs(one)))
+
+
+def test_nu_sum_batch_chunks_the_faddeeva_array(monkeypatch):
+    # no call holds more than _PV_CHUNK (window x term x node) entries, or
+    # one node's worth where that alone is larger
+    sizes = []
+    closed = an.pv_closed_form_batch
+
+    def counted(mus, *args):
+        out = closed(mus, *args)
+        sizes.append((out.size, np.size(mus)))
+        return out
+
+    monkeypatch.setattr(an, "pv_closed_form_batch", counted)
+    zs = an._arc_z(5, 11, np.linspace(-0.01, 0.01, 2048))
+    for M, k in ((2, 5), (4, 5), (12, 5)):
+        sizes.clear()
+        an.nu_sum_batch(an.lattice_window(M * k), M, 1, k, zs)
+        assert sum(size for size, _ in sizes) == (2 * M * k - 1) * 49 * zs.size
+        assert all(size <= max(an._PV_CHUNK, per_node) for size, per_node in sizes)

@@ -96,6 +96,30 @@ def test_transformed_contour_matches_direct():
             assert abs(res.value - exact) <= 1e-4, (sorted(J), n)
 
 
+def test_transformed_contour_at_n_100_matches_exact_and_direct():
+    # N = 10: 33 arcs, up to k = 10 and windows of 2Mk - 1 = 39 indices
+    r, M, alpha, J, n = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3}), 100
+    exact = float(f_J_series(r, M, alpha, J, n).coeff(n))
+    res = coefficient_by_contour(
+        transformed_evaluator(r, M, alpha, J, nu_terms=nu_terms_for(n)), n,
+        ContourConfig(n=n, mode="transformed", tol=1e-8))
+    assert abs(res.value - exact) <= 1e-6
+    direct = coefficient_by_contour(series_evaluator(r, M, alpha, J), n)
+    assert abs(res.value - direct.value) <= 1e-6
+
+
+def test_transformed_contour_mixed_alpha():
+    # the same alpha_j both on and off J: the shared factors are keyed by
+    # (alpha_j, j in J), not by alpha_j alone
+    for r, M, alpha, J, n in [(1, 2, (2, 1, 1, 1), frozenset({1, 3}), 40),
+                              (1, 2, (1, 2, 1, 2), frozenset({1, 2}), 30)]:
+        exact = float(f_J_series(r, M, alpha, J, n).coeff(n))
+        res = coefficient_by_contour(
+            transformed_evaluator(r, M, alpha, J, nu_terms=nu_terms_for(n)), n,
+            ContourConfig(n=n, mode="transformed", tol=1e-8))
+        assert abs(res.value - exact) <= 1e-6, (alpha, sorted(J))
+
+
 def test_i_nu_rejects_full_J():
     with pytest.raises(ValueError):
         i_nu_contributions(1, 2, (1, 1, 1, 1), FULL_J, [(0, 0, 0, 0)], 4)
