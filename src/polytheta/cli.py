@@ -123,15 +123,14 @@ def cmd_count(args) -> int:
                   for name, domain in domains.items() if col in (None, name)}
         with_squares = inst.m >= 5 and col is None
         if with_squares:
-            cong, shift0 = counting.polygonal_to_squares(inst, 0)
-            stride = 8 * (inst.m - 2)
-            t_s = counting.squares_count_table(cong, shift0 + stride * nmax)
-            free = CongruenceInstance(r=cong.r, M=cong.M, alpha=cong.alpha)
-            t_ss = counting.squares_count_table(free, shift0 + stride * nmax)
+            cong, stride, offset = counting._square_image(inst, NON_NEGATIVE)
+            free, _, _ = counting._square_image(inst, ALL_INTEGERS)
+            t_s = counting.squares_count_table(cong, offset + stride * nmax)
+            t_ss = counting.squares_count_table(free, offset + stride * nmax)
         for n in args.n:
             row = {"n": n, **{name: int(t[n]) for name, t in tables.items()}}
             if with_squares:
-                arg = shift0 + stride * n
+                arg = offset + stride * n
                 row["s"] = int(t_s[arg])
                 row["s_star"] = int(t_ss[arg])
             rows.append(row)
@@ -301,13 +300,13 @@ def cmd_contour(args) -> int:
         evaluator = circle.constant_evaluator()
         exact = 1.0 if args.n == 0 else 0.0
     else:
-        J = args.J if args.J else frozenset({1, 2, 3, 4})
         if args.mode == "transformed":
             evaluator = circle.transformed_evaluator(
-                args.r, args.M, args.alpha, J, nu_terms=circle.nu_terms_for(args.n))
+                args.r, args.M, args.alpha, args.J,
+                nu_terms=circle.nu_terms_for(args.n))
         else:
-            evaluator = circle.series_evaluator(args.r, args.M, args.alpha, J)
-        fj = series.f_J_series(args.r, args.M, args.alpha, J, args.n)
+            evaluator = circle.series_evaluator(args.r, args.M, args.alpha, args.J)
+        fj = series.f_J_series(args.r, args.M, args.alpha, args.J, args.n)
         exact = float(fj.coeff(args.n))
     config = circle.ContourConfig(n=args.n, mode=args.mode, tol=args.tol)
     res = circle.coefficient_by_contour(evaluator, args.n, config)
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["hexagonal", "hexagonal2", "pentagonal", "squares"])
     a.add_argument("--nmax", type=_bounded_int(0), default=10000)
     a.add_argument("--out", default=None, help="write full CSV here")
-    a.add_argument("--max-rows", type=int, default=200, dest="max_rows")
+    a.add_argument("--max-rows", type=_bounded_int(0), default=200, dest="max_rows")
     a.add_argument("--spot-check", type=_bounded_int(0), default=0,
                    dest="spot_check",
                    help="re-derive this many sampled entries per index")

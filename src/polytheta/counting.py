@@ -1,14 +1,20 @@
 """Exact integer counting of representations by polygonal numbers and by
 congruence-constrained sums of squares.
 
-Two evaluation styles are provided for each counting function:
+Every polygonal count goes through the completed-square map of the paper:
+x_j = 2(m-2) ell_j - (m-4) turns a weighted sum of four m-gonal numbers over
+a domain into a weighted sum of four squares in the class -(m-4) mod 2(m-2)
+above the image of the domain's lower bound.  One enumerator and one
+counting loop then serve both kinds of count, in two evaluation styles:
 
 * per-index counters (``count_polygonal``, ``count_squares``) that enumerate
   the first three coordinates and solve the fourth by an exact integer
   square-root test -- these are the brute-force oracles;
 * batch tables (``polygonal_count_table``, ``squares_count_table``) that
   convolve the four one-variable generating arrays with numpy int64
-  arithmetic -- exact, and fast enough for sweeps to 10^5 and beyond.
+  arithmetic -- exact, and fast enough for sweeps to 10^5 and beyond.  A
+  polygonal table reads its image's squares on the stride 8(m-2), so it
+  stays nmax + 1 entries long.
 
 All counts are plain Python ints / int64 arrays; the batch tables guard
 against int64 overflow explicitly.
@@ -138,67 +144,22 @@ def polygonal_number(m: int, ell: int) -> int:
     return q
 
 
-def _poly_indices_upto(m: int, alpha_j: int, limit: int, domain: CountDomain):
-    """Yield (ell, alpha_j * p_m(ell)) for all in-domain ell with value <= limit."""
-    if limit < 0:
-        return
-    lo = domain.lower
-    # non-negative side (p_m increasing for ell >= 1; includes ell = 0)
-    ell = 0 if lo is None else max(lo, 0)
-    while True:
-        v = alpha_j * polygonal_number(m, ell)
-        if v > limit and ell >= 1:
-            break
-        if v <= limit:
-            yield ell, v
-        ell += 1
-    # negative side (p_m increases as ell decreases below 0)
-    if lo is None:
-        ell = -1
-    elif lo < 0:
-        ell = -1
-    else:
-        return
-    while ell >= (lo if lo is not None else -10**18):
-        v = alpha_j * polygonal_number(m, ell)
-        if v > limit:
-            break
-        yield ell, v
-        ell -= 1
+def _square_image(inst: PolygonalInstance, domain: CountDomain
+                  ) -> tuple[CongruenceInstance, int, int]:
+    """Completed-square image of a polygonal instance over ``domain``.
 
-
-def _count_poly_last(m: int, alpha_j: int, value: int, domain: CountDomain) -> int:
-    """Number of in-domain ell with alpha_j * p_m(ell) == value (exact)."""
-    if value < 0 or value % alpha_j:
-        return 0
-    v = value // alpha_j
-    # 8(m-2) p_m(ell) + (m-4)^2 = (2(m-2)ell - (m-4))^2
-    disc = 8 * (m - 2) * v + (m - 4) ** 2
-    s = isqrt(disc)
-    if s * s != disc:
-        return 0
-    count = 0
-    for x in {s, -s}:
-        num = x + (m - 4)
-        den = 2 * (m - 2)
-        if num % den == 0 and domain.contains(num // den):
-            count += 1
-    return count
-
-
-def count_polygonal(inst: PolygonalInstance, n: int, domain: CountDomain) -> int:
-    """Exact number of solutions of sum_j alpha_j p_m(ell_j) = n, ell in domain^4."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    m, alpha = inst.m, inst.alpha
-    total = 0
-    for _, v1 in _poly_indices_upto(m, alpha[0], n, domain):
-        r1 = n - v1
-        for _, v2 in _poly_indices_upto(m, alpha[1], r1, domain):
-            r2 = r1 - v2
-            for _, v3 in _poly_indices_upto(m, alpha[2], r2, domain):
-                total += _count_poly_last(m, alpha[3], r2 - v3, domain)
-    return total
+    x = 2(m-2) ell - (m-4) maps the integers one-to-one onto the class
+    -(m-4) mod 2(m-2), and ell >= L onto x >= 2(m-2) L - (m-4); it gives
+    x^2 = 8(m-2) p_m(ell) + (m-4)^2.  So sum_j alpha_j p_m(ell_j) = n has as
+    many solutions over domain^4 as the returned instance has at
+    stride * n + offset, with stride 8(m-2) and offset sum_j alpha_j (m-4)^2.
+    This holds for every m >= 3.
+    """
+    m = inst.m
+    M, c = 2 * (m - 2), m - 4
+    lower = None if domain.lower is None else M * domain.lower - c
+    cong = CongruenceInstance(r=-c, M=M, alpha=inst.alpha, lower_bound=lower)
+    return cong, 8 * (m - 2), inst.alpha_sum * c * c
 
 
 def _square_residues_upto(r: int, M: int, alpha_j: int, limit: int,
@@ -231,11 +192,8 @@ def _count_square_last(r: int, M: int, alpha_j: int, value: int,
     return count
 
 
-def count_squares(inst: CongruenceInstance, n: int) -> int:
-    """Exact number of x in the congruence class (and above the lower bound,
-    if one is set) with sum_j alpha_j x_j^2 = n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+def _count_at(inst: CongruenceInstance, n: int) -> int:
+    """Enumerate the first three coordinates and solve the fourth exactly."""
     r, M, alpha, dom = inst.r, inst.M, inst.alpha, inst.domain
     total = 0
     for v1 in _square_residues_upto(r, M, alpha[0], n, dom):
@@ -247,22 +205,35 @@ def count_squares(inst: CongruenceInstance, n: int) -> int:
     return total
 
 
-def polygonal_to_squares(inst: PolygonalInstance, n: int) -> tuple[CongruenceInstance, int]:
-    """Completed-square image of a polygonal instance.
+def count_polygonal(inst: PolygonalInstance, n: int, domain: CountDomain) -> int:
+    """Exact number of solutions of sum_j alpha_j p_m(ell_j) = n, ell in domain^4."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    cong, stride, offset = _square_image(inst, domain)
+    return _count_at(cong, stride * n + offset)
 
-    Substituting x_j = 2(m-2) ell_j - (m-4) turns sum alpha_j p_m(ell_j) = n
-    into a sum of four squares in the class -(m-4) mod 2(m-2) with lower
-    bound -(m-4), evaluated at 8(m-2) n + sum_j alpha_j (m-4)^2.  Counting
-    over ell_j >= 0 then equals counting the image instance.
+
+def count_squares(inst: CongruenceInstance, n: int) -> int:
+    """Exact number of x in the congruence class (and above the lower bound,
+    if one is set) with sum_j alpha_j x_j^2 = n."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    return _count_at(inst, n)
+
+
+def polygonal_to_squares(inst: PolygonalInstance, n: int) -> tuple[CongruenceInstance, int]:
+    """Completed-square image of a polygonal instance over ell_j >= 0.
+
+    Returns the sum of four squares in the class -(m-4) mod 2(m-2) with lower
+    bound -(m-4), and the point 8(m-2) n + sum_j alpha_j (m-4)^2 at which its
+    count equals the non-negative polygonal count at n.  This is the
+    non-negative case of the map every polygonal count goes through; it is
+    offered for the paper's range m >= 5 only.
     """
-    m = inst.m
-    if m < 5:
-        raise ValueError(f"completed-square map needs m >= 5, got {m}")
-    M = 2 * (m - 2)
-    shift = 8 * (m - 2) * n + inst.alpha_sum * (m - 4) ** 2
-    cong = CongruenceInstance(r=-(m - 4), M=M, alpha=inst.alpha,
-                              lower_bound=-(m - 4))
-    return cong, shift
+    if inst.m < 5:
+        raise ValueError(f"completed-square map needs m >= 5, got {inst.m}")
+    cong, stride, offset = _square_image(inst, NON_NEGATIVE)
+    return cong, stride * n + offset
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +272,34 @@ def _convolve_supports(supports: list[np.ndarray], nmax: int) -> np.ndarray:
     return acc
 
 
-def _poly_support(m: int, alpha_j: int, nmax: int, domain: CountDomain) -> np.ndarray:
-    sup = np.zeros(nmax + 1, dtype=np.int64)
-    for _, v in _poly_indices_upto(m, alpha_j, nmax, domain):
-        sup[v] += 1
-    return sup
+def _supports(inst: CongruenceInstance, nmax: int, stride: int = 1,
+              offset: int = 0) -> list[np.ndarray]:
+    """Per-coordinate count arrays of indices 0..nmax.
 
-
-def _square_support(r: int, M: int, alpha_j: int, nmax: int,
-                    domain: CountDomain) -> np.ndarray:
-    sup = np.zeros(nmax + 1, dtype=np.int64)
-    for v in _square_residues_upto(r, M, alpha_j, nmax, domain):
-        sup[v] += 1
-    return sup
+    The value alpha_j x^2 goes to index (alpha_j x^2 - shift_j) / stride,
+    where the shifts split ``offset`` over the coordinates in proportion to
+    alpha_j (each image coordinate of a polygonal count is (m-4)^2 at ell = 0).
+    """
+    sups = []
+    for a in inst.alpha:
+        sup = np.zeros(nmax + 1, dtype=np.int64)
+        shift = a * offset // inst.alpha_sum
+        for v in _square_residues_upto(inst.r, inst.M, a, stride * nmax + shift,
+                                       inst.domain):
+            sup[(v - shift) // stride] += 1
+        sups.append(sup)
+    return sups
 
 
 def polygonal_count_table(inst: PolygonalInstance, nmax: int,
                           domain: CountDomain) -> np.ndarray:
     """Counts for all 0 <= n <= nmax at once (exact; same values as
     count_polygonal)."""
-    sups = [_poly_support(inst.m, a, nmax, domain) for a in inst.alpha]
-    return _convolve_supports(sups, nmax)
+    cong, stride, offset = _square_image(inst, domain)
+    return _convolve_supports(_supports(cong, nmax, stride, offset), nmax)
 
 
 def squares_count_table(inst: CongruenceInstance, nmax: int) -> np.ndarray:
     """Counts for all 0 <= n <= nmax at once (exact; same values as
     count_squares)."""
-    sups = [_square_support(inst.r, inst.M, a, nmax, inst.domain)
-            for a in inst.alpha]
-    return _convolve_supports(sups, nmax)
+    return _convolve_supports(_supports(inst, nmax), nmax)

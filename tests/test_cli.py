@@ -18,17 +18,20 @@ def run_cli(capsys, *argv):
 
 
 def test_count_polygonal_range(capsys):
-    code, out = run_cli(capsys, "count", "--m", "6", "--alpha", "1,1,1,1",
-                        "--n", "0..5", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["schema_version"] == 1
-    rows = {r["n"]: r for r in data["rows"]}
-    assert rows[0]["r"] == 1
-    assert rows[1]["r"] == 4
-    # completed-square columns agree with the polygonal ones
-    assert rows[3]["s"] == rows[3]["r"]
-    assert rows[3]["s_star"] == rows[3]["r_star"]
+    # r(1) counts the coordinates of weight 1 that can take p_m(1) = 1
+    for m, alpha, r1 in [(6, "1,1,1,1", 4), (5, "2,1,1,1", 3)]:
+        code, out = run_cli(capsys, "count", "--m", str(m), "--alpha", alpha,
+                            "--n", "0..40", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["schema_version"] == 1
+        rows = data["rows"]
+        assert [r["n"] for r in rows] == list(range(41))
+        assert (rows[0]["r"], rows[1]["r"]) == (1, r1)
+        # completed-square columns agree with the polygonal ones on every row
+        for row in rows:
+            assert row["s"] == row["r"], (m, row)
+            assert row["s_star"] == row["r_star"], (m, row)
 
 
 def test_count_jacobi_example(capsys):
@@ -79,6 +82,8 @@ def test_count_domain_builds_only_the_printed_table(capsys, monkeypatch):
     ["farey", "--N", "0"],
     ["farey", "--N", "-2"],
     ["asymptotics", "--which", "hexagonal", "--nmax", "-5"],
+    ["asymptotics", "--which", "pentagonal", "--nmax", "2000",
+     "--max-rows", "-5"],
     ["series", "--kind", "fJ", "--J", "5"],
     ["contour", "--alpha", "0,1,1,1", "--n", "2"],
     ["verify", "lemma4_1", "--N", "0"],
@@ -185,6 +190,17 @@ def test_contour_direct_product(capsys):
     data = json.loads(out)
     assert data["abs_err"] <= 1e-6
     assert data["exact"] == 12.0
+
+
+def test_contour_empty_J_is_the_constant_term_product(capsys):
+    # J = {} is a valid choice, not a stand-in for the full set (which gives 13)
+    code, out = run_cli(capsys, "contour", "--r", "1", "--M", "2",
+                        "--alpha", "1,1,1,1", "--J", "", "--n", "8",
+                        "--tol-report", "1e-6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["exact"] == -11.0
+    assert data["abs_err"] <= 1e-6
 
 
 def test_contour_transformed(capsys):

@@ -69,7 +69,9 @@ def test_hexagonal_example_n6():
 
 def test_count_polygonal_matches_blind_bruteforce():
     for m, alpha, lower in [(5, (1, 1, 1, 1), 0), (6, (2, 1, 1, 1), 1),
-                            (7, (1, 1, 1, 1), None), (3, (1, 1, 1, 1), 0)]:
+                            (7, (1, 1, 1, 1), None), (3, (1, 1, 1, 1), 0),
+                            (4, (1, 1, 1, 1), None), (3, (2, 1, 1, 1), None),
+                            (8, (2, 1, 1, 1), -2), (5, (1, 1, 1, 1), 2)]:
         inst = PolygonalInstance(m=m, alpha=alpha)
         dom = CountDomain(lower=lower)
         for n in range(25):
@@ -165,8 +167,10 @@ def test_tables_match_per_index_counters():
 
 
 small_polygonal = st.tuples(
-    st.integers(5, 8), st.lists(st.integers(1, 3), min_size=4, max_size=4),
-    st.integers(0, 150), st.sampled_from([ALL_INTEGERS, NON_NEGATIVE, POSITIVE]))
+    st.integers(3, 8), st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.integers(0, 150),
+    st.sampled_from([ALL_INTEGERS, NON_NEGATIVE, POSITIVE, CountDomain(lower=-2),
+                     CountDomain(lower=2)]))
 
 
 @given(small_polygonal, st.data())
