@@ -14,10 +14,12 @@ Conventions shared by everything below:
 The theta sums are evaluated in two ways, each by one kernel:
 
 * direct summation (the two ``*_direct_arc`` evaluators) runs through
-  ``_lattice_sum``, one term-by-term loop over nu for both sum types.  It
-  takes a scalar z or an array of them (the nodes of one quadrature rule)
-  and adds each nu term to every node at once, with the tail cutoff taken up
-  front from the smallest Re z;
+  ``_lattice_sum`` for both sum types.  It takes a scalar z (as a one-node
+  array) or an array of them (the nodes of one quadrature rule), takes the
+  tail cutoff up front from the smallest Re z, builds the nu of the walk as
+  one integer array with its phases reduced exactly in integers, and
+  exponentiates (terms x nodes) blocks of at most ``_PV_CHUNK`` entries,
+  whose rows it accumulates in walk order;
 * the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
   factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
   transformed evaluators sum it over nu; the circle-method nu-decomposition
@@ -155,6 +157,14 @@ def _unit_phase(num: int, den: int) -> complex:
 # direct summation of the defining series
 # ---------------------------------------------------------------------------
 
+# entries per array block of the node-wise sums: (term, node) per exponential
+# block of ``_lattice_sum`` and (window index, shifted pair, node) per
+# Faddeeva call of ``nu_sum_batch``; the block is cut along terms or nodes to
+# at most this many entries (one term or node at a time where the other axis
+# alone is larger)
+_PV_CHUNK = 8192
+
+
 def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
     """The first integer nu >= floor at which exp(-decay nu^2) is below tol;
     past 10^7 (or with no decay) the sum is refused before any term."""
@@ -164,51 +174,64 @@ def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
     return max(floor, math.isqrt(int(reach)) + 1)
 
 
-def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z,
-                 signed: bool, tol: float):
+def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z: np.ndarray,
+                 signed: bool, tol: float) -> np.ndarray:
     """Sum over nu = r mod M of sgn(nu)^signed e(scale nu^2 h/(2 M k))
     exp(-2 pi scale nu^2 z/(2 M k)), i.e. the exponents nu^2/(2M) at
-    tau = (h + i z)/k with the rational part of every phase reduced exactly,
-    at a numpy complex scalar z or every entry of a complex array z.
+    tau = (h + i z)/k with the rational part of every phase reduced exactly
+    in integers, at every entry of a 1-D complex array z.
 
-    Summed one term at a time, outward from the class representative in both
-    directions, up to and including the first |nu| > M whose damping is
-    below tol at the smallest Re z (so every entry gets at least its own
-    tail); the cutoff is taken before any term is summed.  The sign-weighted
-    sums of the classes r and -r cancel term by term in this order; a
-    reordered (pairwise) summation loses that to roundoff.
+    The terms are taken outward from the class representative in both
+    directions, r, r+M, ... and then r-M, r-2M, ..., each walk up to and
+    including the first |nu| >= cut, where cut > M is the first nu whose
+    damping is below tol at the smallest Re z (so every entry gets at least
+    its own tail); the cutoff is taken before any term is summed.  The
+    terms go in chunks of walk positions, each one (terms x nodes) block of
+    at most ``_PV_CHUNK`` entries (one term at a time where the nodes alone
+    are more), so memory does not grow with the cutoff; the rows of each
+    block are accumulated in walk order onto the running total, so each
+    node's value is the term-by-term sum, whatever the number of nodes or
+    the chunking.  The sign-weighted sums of the classes r and -r cancel
+    term by term in this order; a reordered (pairwise) summation, which is
+    what numpy's sum over a single column does, loses that to roundoff.
     """
     r %= M
     den = 2 * M * k
     c = -2 * math.pi * scale / den
     cut = _gaussian_cutoff(-c * float(np.min(z.real)), tol, M + 1)
-    total = 0j  # takes z's type at the first term; each walk reaches |nu| > M
-    for start, step in ((r, M), (r - M, -M)):
-        nu = start
-        while True:
-            if nu or not signed:
-                term = _unit_phase(scale * nu * nu * h, den) * np.exp((c * nu * nu) * z)
-                if signed and nu < 0:
-                    total -= term
-                else:
-                    total += term
-            if abs(nu) >= cut:
-                break
-            nu += step
+    # walk positions p: nu = r + M p for p < up, then r - M (p - up + 1);
+    # the sign-weighted sums have no nu = 0 term
+    up = len(range(r, cut + M, M))
+    size = up + len(range(r - M, -cut - M, -M))
+    per = max(1, _PV_CHUNK // z.size)
+    total = np.zeros_like(z)
+    for i in range(1 if signed and r == 0 else 0, size, per):
+        p = np.arange(i, min(i + per, size))
+        nu = np.where(p < up, r + M * p, r - M * (p - up + 1))
+        res = nu % den
+        coef = np.exp((2j * np.pi / den)
+                      * ((scale * h) % den * (res * res % den) % den))
+        if signed:
+            coef[nu < 0] *= -1
+        block = (c * nu * nu)[:, None] * z
+        np.exp(block, out=block)
+        block *= coef[:, None]
+        block[0] += total
+        np.add.accumulate(block, axis=0, out=block)
+        total = block[-1]
     return total
 
 
 def _direct(r: int, M: int, scale: int, h: int, k: int, z, signed: bool,
             tol: float):
-    """``_lattice_sum`` at a scalar z (returns a complex) or an array of z
-    (returns an array of the same shape), after checking Re z > 0.  A scalar
-    is summed as a numpy scalar, several times faster than a 0-d array."""
+    """``_lattice_sum`` at a scalar z (returns a complex, summed as a
+    one-node array) or an array of z (returns an array of the same shape),
+    after checking Re z > 0."""
     za = np.asarray(z, dtype=complex)
     if not np.all(za.real > 0):
         raise ValueError(f"need Re z > 0, got z={z}")
-    if za.ndim == 0:
-        return complex(_lattice_sum(r, M, scale, h, k, za[()], signed, tol))
-    return _lattice_sum(r, M, scale, h, k, za, signed, tol)
+    out = _lattice_sum(r, M, scale, h, k, za.reshape(-1), signed, tol)
+    return complex(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
 def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
@@ -504,12 +527,6 @@ def lattice_window(d: int) -> list[int]:
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     return list(range(1 - d, 0)) + list(range(1, d + 1))
-
-
-# entries of (window index, shifted pair, node) per Faddeeva call: the nodes
-# of one rule go through nu_sum_batch in chunks of at most this many entries
-# (one node at a time where its window alone is larger)
-_PV_CHUNK = 8192
 
 
 def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z,

@@ -20,11 +20,12 @@ has a few nodes per period of e(-n phi) on the wider side) or reach
 m = 1024; ``quad_error`` sums exp(2 pi n/N^2) times each arc's last
 difference.  The nu-decomposition takes m = 24, builds one table of
 ``analytic._gauss_factor`` per distinct coordinate over all nodes of an arc,
-and indexes its row at each node by every nu.
+and contracts the four tables over the nodes once per requested nu_1 (one
+``np.einsum`` into the cube of (nu_2, nu_3, nu_4) up to the largest
+requested entry), from which it gathers the requested nu.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -227,37 +228,74 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
 # the nu-indexed decomposition of the arc sum
 # ---------------------------------------------------------------------------
 
+def _nu_index(keys: list[tuple]) -> np.ndarray:
+    """The nu vectors as a (len(keys), 4) index array; ValueError unless
+    every one is four non-negative integers."""
+    if not keys:
+        return np.zeros((0, 4), dtype=np.intp)
+    try:
+        idx = np.array(keys)
+    except ValueError:  # vectors of different lengths
+        idx = None
+    if (idx is None or idx.shape[1:] != (4,) or idx.dtype.kind not in "iu"
+            or idx.min() < 0):
+        raise ValueError("every nu must be four non-negative integers")
+    return idx.astype(np.intp, copy=False)
+
+
+def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
+                    J: frozenset[int], idx: np.ndarray, n: int) -> np.ndarray:
+    """The contributions of the rows of the (count, 4) index array idx, in
+    its order: per arc, one ``_gauss_factor`` table t_c of each distinct
+    (alpha_j, in J) over nu_j = 0..max and all nodes, then for each
+    requested nu_1 = a one contraction over the nodes i of
+    base_i t1[a, i] t2[nu_2, i] (t3 t4)[(nu_3, nu_4), i] into every
+    (nu_2, nu_3, nu_4) up to the largest entry requested with that nu_1,
+    from which the requested entries are gathered."""
+    N = max(1, isqrt(n))
+    acc = np.zeros(len(idx), dtype=complex)
+    c_shift = r * r * sum(alpha) / (2.0 * M)
+    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
+    width = int(idx.max(initial=0)) + 1
+    # per requested nu_1: the positions in acc, the extent of its
+    # (nu_2, nu_3, nu_4) cube and the requested entries of its contraction
+    groups = []
+    for a in np.unique(idx[:, 0]).tolist():
+        rows = np.flatnonzero(idx[:, 0] == a)
+        size = int(idx[rows, 1:].max()) + 1
+        groups.append((a, rows, size, idx[rows, 1],
+                       idx[rows, 2] * size + idx[rows, 3]))
+    for h, k, sides in _arc_walk(N):
+        phi, w = _arc_rule(sides, 24)
+        z = _arc_z(k, N, phi)
+        # one (nu, node) table per distinct coordinate over all nodes
+        tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], width - 1)
+                  for c in set(coords)}
+        t1, t2, t3, t4 = (tables[c] for c in coords)
+        t34 = t3[:, None] * t4
+        base = (_unit_phase(-n * h, k) * w) * np.exp(
+            2 * np.pi * (n + c_shift) * z / k) / (k * k * z * z)
+        # np.einsum (not @) runs its own loops and maps no BLAS buffers
+        for a, rows, size, b, cd in groups:
+            block = np.einsum("bi,ci->bc", t2[:size] * (base * t1[a]),
+                              t34[:size, :size].reshape(size * size, -1))
+            acc[rows] += block[b, cd]
+    return acc
+
+
 def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        J: frozenset[int] | set[int],
                        nus: Sequence[tuple[int, int, int, int]],
                        n: int) -> dict[tuple[int, int, int, int], complex]:
     """Arc-sum contributions indexed by nu, sharing quadrature nodes and
-    nu-sum tables across all requested nu (24 nodes per side): per arc, one
-    ``_gauss_factor`` table of each distinct (alpha_j, in J) over
-    nu_j = 0..max and all nodes, whose row at each node is indexed by the
-    columns of the nu array."""
+    nu-sum tables across all requested nu (24 nodes per side), contracted
+    over the nodes once per requested nu_1 (``_nu_contraction``).  Every nu
+    must be four non-negative integers (ValueError otherwise)."""
     J = frozenset(J)
     if J == FULL_J:
         raise ValueError("the nu-decomposition needs at least one factor off J")
-    N = max(1, isqrt(n))
     keys = [tuple(nu) for nu in nus]
-    idx = np.array(keys, dtype=np.intp).reshape(-1, 4)
-    acc = np.zeros(len(keys), dtype=complex)
-    c_shift = r * r * sum(alpha) / (2.0 * M)
-    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
-    nu_max = int(idx.max(initial=0))
-    for h, k, sides in _arc_walk(N):
-        phi, w = _arc_rule(sides, 24)
-        z = _arc_z(k, N, phi)
-        # one table per distinct coordinate over all nodes, one row per node
-        tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max).T
-                  for c in set(coords)}
-        base = (_unit_phase(-n * h, k) * w) * np.exp(
-            2 * np.pi * (n + c_shift) * z / k) / (k * k * z * z)
-        for i, b in enumerate(base.tolist()):
-            t1, t2, t3, t4 = (tables[c][i] for c in coords)
-            acc += b * (t1[idx[:, 0]] * t2[idx[:, 1]] * t3[idx[:, 2]]
-                        * t4[idx[:, 3]])
+    acc = _nu_contraction(r, M, alpha, J, _nu_index(keys), n)
     return dict(zip(keys, acc.tolist()))
 
 
@@ -272,6 +310,17 @@ def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> int:
     return math.ceil(math.sqrt(max(need, 1.0)))
 
 
+def _nu_ball(cap: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
+    """The nu in {0..cap}^4 with ||nu|| <= cap as tuples, in the C order of
+    the ball's mask (which is itertools.product's order), and their weights
+    1/2 per vanishing entry."""
+    sq = np.arange(cap + 1) ** 2
+    ball = np.nonzero((sq[:, None, None] + sq[:, None] + sq)[..., None]
+                      <= cap * cap - sq)
+    return (list(zip(*(a.tolist() for a in ball))),
+            0.5 ** sum(a == 0 for a in ball))
+
+
 def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
                       J: frozenset[int] | set[int],
                       n: int) -> tuple[complex, dict]:
@@ -281,12 +330,11 @@ def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
     Weights: 1/(16 M^2 prod sqrt(alpha_j)) times 1/2 per vanishing nu_j.
     Returns (value, per-nu breakdown).
     """
-    cap = nu_norm_cap_for(n, M, alpha)
-    nus = [nu for nu in itertools.product(range(cap + 1), repeat=4)
-           if sum(c * c for c in nu) <= cap * cap]
+    nus, weights = _nu_ball(nu_norm_cap_for(n, M, alpha))
     contrib = i_nu_contributions(r, M, alpha, J, nus, n)
     pref = 1.0 / (16.0 * M * M * math.prod(math.sqrt(a) for a in alpha))
-    total = pref * sum(0.5 ** nu.count(0) * val for nu, val in contrib.items())
+    vals = np.fromiter(contrib.values(), dtype=complex, count=len(contrib))
+    total = pref * complex((weights * vals).sum())
     return total, contrib
 
 

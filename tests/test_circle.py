@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from polytheta.circle import (ContourConfig, constant_evaluator,
-                              coefficient_by_contour, error_exponent_fit,
-                              i_nu_contributions, kloosterman_h_sum,
+from polytheta.analytic import _arc_z, _gauss_factor, _unit_phase
+from polytheta.circle import (ContourConfig, _arc_rule, _arc_walk,
+                              constant_evaluator, coefficient_by_contour,
+                              error_exponent_fit, i_nu_contributions,
+                              kloosterman_h_sum, nu_norm_cap_for,
                               nu_terms_for, reconstruct_by_nu,
                               series_evaluator, transformed_evaluator)
 from polytheta.series import FULL_J, f_J_series
@@ -123,6 +126,68 @@ def test_transformed_contour_mixed_alpha():
 def test_i_nu_rejects_full_J():
     with pytest.raises(ValueError):
         i_nu_contributions(1, 2, (1, 1, 1, 1), FULL_J, [(0, 0, 0, 0)], 4)
+
+
+def test_i_nu_rejects_malformed_nu_vectors():
+    # a negative entry would index its table from the end and silently
+    # return another nu's value
+    args = (1, 2, (1, 1, 1, 1), frozenset({1, 2, 3}))
+    for nus in ([(-1, 0, 0, 0)], [(0, 0, 0, 0), (2, 0, -3, 1)], [(1, 0, 0)],
+                [(0, 0, 0, 0), (1, 0, 0)], [(1, 0, 0, 0, 0)], [(1.0, 0, 0, 0)]):
+        with pytest.raises(ValueError):
+            i_nu_contributions(*args, nus, 4)
+
+
+def _i_nu_by_node(r, M, alpha, J, nus, n):
+    """The per-node loop that ``i_nu_contributions`` contracts: at every
+    node of every arc, the base times the four table rows indexed by the
+    columns of the nu array."""
+    N = max(1, math.isqrt(n))
+    keys = [tuple(nu) for nu in nus]
+    idx = np.array(keys, dtype=np.intp).reshape(-1, 4)
+    acc = np.zeros(len(keys), dtype=complex)
+    c_shift = r * r * sum(alpha) / (2.0 * M)
+    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
+    nu_max = int(idx.max(initial=0))
+    for h, k, sides in _arc_walk(N):
+        phi, w = _arc_rule(sides, 24)
+        z = _arc_z(k, N, phi)
+        tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max).T
+                  for c in set(coords)}
+        base = (_unit_phase(-n * h, k) * w) * np.exp(
+            2 * np.pi * (n + c_shift) * z / k) / (k * k * z * z)
+        for i, b in enumerate(base.tolist()):
+            t1, t2, t3, t4 = (tables[c][i] for c in coords)
+            acc += b * (t1[idx[:, 0]] * t2[idx[:, 1]] * t3[idx[:, 2]]
+                        * t4[idx[:, 3]])
+    return dict(zip(keys, acc.tolist()))
+
+
+def test_i_nu_contraction_matches_per_node_loop():
+    r, M, alpha = 1, 2, (1, 1, 1, 1)
+    ball = [nu for nu in itertools.product(range(7), repeat=4)
+            if sum(c * c for c in nu) <= 36]
+    axis = [(a, 0, 0, 0) for a in range(6)]
+    for J in (frozenset({1, 2, 3}), frozenset({1})):
+        for n in (4, 10):
+            for nus in (ball, axis):
+                got = i_nu_contributions(r, M, alpha, J, nus, n)
+                want = _i_nu_by_node(r, M, alpha, J, nus, n)
+                assert list(got) == list(want)
+                # entries where a factor vanishes are exact zeros on both
+                bad = [nu for nu in want
+                       if abs(got[nu] - want[nu]) > 1e-12 * abs(want[nu])]
+                assert not bad, (sorted(J), n, bad[:3])
+
+
+def test_nu_reconstruction_ball_in_product_order():
+    r, M, alpha, J, n = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3}), 4
+    cap = nu_norm_cap_for(n, M, alpha)
+    ball = [nu for nu in itertools.product(range(cap + 1), repeat=4)
+            if sum(c * c for c in nu) <= cap * cap]
+    _, contrib = reconstruct_by_nu(r, M, alpha, J, n)
+    assert list(contrib) == ball
+    assert all(type(c) is int for nu in contrib for c in nu)
 
 
 def test_nu_reconstruction_matches_exact_coefficients():
