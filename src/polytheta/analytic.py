@@ -15,11 +15,12 @@ The theta sums are evaluated in two ways, each by one kernel:
 
 * direct summation (the two ``*_direct_arc`` evaluators) runs through
   ``_lattice_sum`` for both sum types.  It takes a scalar z (as a one-node
-  array) or an array of them (the nodes of one quadrature rule), takes the
-  tail cutoff up front from the smallest Re z, builds the nu of the walk as
-  one integer array with its phases reduced exactly in integers, and
-  exponentiates (terms x nodes) blocks of at most ``_PV_CHUNK`` entries,
-  whose rows it accumulates in walk order;
+  array) or an array of them (the contour passes a level's arcs as rows of
+  rule nodes, with h and k as integer columns), takes one tail cutoff up
+  front from the smallest decay, builds the nu of the walk as one integer
+  array with its phases reduced exactly in integers (a terms x arcs
+  table), and exponentiates (terms x entries) blocks of at most
+  ``_PV_CHUNK`` entries, which it accumulates in walk order;
 * the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
   factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
   transformed evaluators sum it over nu; the circle-method nu-decomposition
@@ -91,10 +92,13 @@ def resolved_relative_error(a: complex, b: complex,
     return abs(a - b) / max(abs(a), abs(b), zero_floor)
 
 
-def _arc_z(k: int, N: int, Phi):
+def _arc_z(k, N: int, Phi):
     """The point z = k (1/N^2 - i Phi) on the order-N arc at denominator k;
-    Phi may be a float or an array of them (then z is an array)."""
-    if not (1 <= k <= N):
+    Phi may be a float or an array of them, and k an int or an integer array
+    that broadcasts against Phi (an (A, 1) column of one level's arcs
+    against their (A, 2m) rows of nodes)."""
+    ks = np.asarray(k)
+    if not np.all((1 <= ks) & (ks <= N)):
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
     return k * (1.0 / N**2 - 1j * Phi)
 
@@ -148,9 +152,12 @@ def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None
     return res_re[0] + 1j * res_im[0], res_re[1] + res_im[1]
 
 
-def _unit_phase(num: int, den: int) -> complex:
-    """exp(2 pi i num/den) with the angle reduced exactly in integers."""
-    return cmath.exp(2j * cmath.pi * (num % den) / den)
+def _unit_phase(num, den):
+    """exp(2 pi i num/den) with the angle reduced exactly in integers; num
+    and den are ints (a complex is returned) or integer arrays that
+    broadcast (an array).  The angle is one correctly rounded division, so
+    both give cmath.exp's value bit for bit."""
+    return np.exp(1j * (2 * np.pi * (num % den) / den))
 
 
 # ---------------------------------------------------------------------------
@@ -174,64 +181,72 @@ def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
     return max(floor, math.isqrt(int(reach)) + 1)
 
 
-def _lattice_sum(r: int, M: int, scale: int, h: int, k: int, z: np.ndarray,
+def _lattice_sum(r: int, M: int, scale: int, h, k, z: np.ndarray,
                  signed: bool, tol: float) -> np.ndarray:
     """Sum over nu = r mod M of sgn(nu)^signed e(scale nu^2 h/(2 M k))
     exp(-2 pi scale nu^2 z/(2 M k)), i.e. the exponents nu^2/(2M) at
     tau = (h + i z)/k with the rational part of every phase reduced exactly
-    in integers, at every entry of a 1-D complex array z.
+    in integers, at every entry of a complex array z of one or more axes.
+    h and k are ints or integer arrays that broadcast against z: a level of
+    the contour passes one arc per row, h and k as (A, 1) columns against
+    the (A, 2m) nodes.
 
     The terms are taken outward from the class representative in both
     directions, r, r+M, ... and then r-M, r-2M, ..., each walk up to and
     including the first |nu| >= cut, where cut > M is the first nu whose
-    damping is below tol at the smallest Re z (so every entry gets at least
-    its own tail); the cutoff is taken before any term is summed.  The
-    terms go in chunks of walk positions, each one (terms x nodes) block of
-    at most ``_PV_CHUNK`` entries (one term at a time where the nodes alone
-    are more), so memory does not grow with the cutoff; the rows of each
-    block are accumulated in walk order onto the running total, so each
-    node's value is the term-by-term sum, whatever the number of nodes or
-    the chunking.  The sign-weighted sums of the classes r and -r cancel
-    term by term in this order; a reordered (pairwise) summation, which is
-    what numpy's sum over a single column does, loses that to roundoff.
+    damping is below tol at the smallest decay over all entries (so every
+    entry gets at least its own tail); the cutoff is taken before any term
+    is summed.  One cutoff and one walk serve every row: on the order-N arcs
+    z = k (1/N^2 - i Phi), so the exponent is -pi scale nu^2 (1/N^2 - i Phi)/M
+    and its decay pi scale/(M N^2) is the same on every arc; only the exact
+    phase depends on the arc, as a (terms x arcs) table.  The terms go in
+    chunks of walk positions, each one (terms x entries) block of at most
+    ``_PV_CHUNK`` entries (one term at a time where the entries alone are
+    more), so memory does not grow with the cutoff; the blocks are
+    accumulated in walk order onto the running total, so each entry's value
+    is the term-by-term sum, whatever the number of rows, nodes or chunks.
+    The sign-weighted sums of the classes r and -r cancel term by term in
+    this order; a reordered (pairwise) summation, which is what numpy's sum
+    over a single column does, loses that to roundoff.
     """
     r %= M
     den = 2 * M * k
     c = -2 * math.pi * scale / den
-    cut = _gaussian_cutoff(-c * float(np.min(z.real)), tol, M + 1)
+    cut = _gaussian_cutoff(float(np.min(-c * z.real)), tol, M + 1)
     # walk positions p: nu = r + M p for p < up, then r - M (p - up + 1);
     # the sign-weighted sums have no nu = 0 term
     up = len(range(r, cut + M, M))
     size = up + len(range(r - M, -cut - M, -M))
     per = max(1, _PV_CHUNK // z.size)
-    total = np.zeros_like(z)
+    total = np.zeros(z.shape, dtype=complex)
     for i in range(1 if signed and r == 0 else 0, size, per):
         p = np.arange(i, min(i + per, size))
-        nu = np.where(p < up, r + M * p, r - M * (p - up + 1))
+        # nu on the leading axis, ahead of z's axes
+        nu = np.where(p < up, r + M * p, r - M * (p - up + 1)).reshape(
+            (-1,) + (1,) * z.ndim)
         res = nu % den
-        coef = np.exp((2j * np.pi / den)
+        coef = np.exp((1j * (2 * np.pi / den))
                       * ((scale * h) % den * (res * res % den) % den))
         if signed:
-            coef[nu < 0] *= -1
-        block = (c * nu * nu)[:, None] * z
+            coef[nu.ravel() < 0] *= -1
+        block = (c * nu * nu) * z
         np.exp(block, out=block)
-        block *= coef[:, None]
+        block *= coef
         block[0] += total
         np.add.accumulate(block, axis=0, out=block)
         total = block[-1]
     return total
 
 
-def _direct(r: int, M: int, scale: int, h: int, k: int, z, signed: bool,
-            tol: float):
+def _direct(r: int, M: int, scale: int, h, k, z, signed: bool, tol: float):
     """``_lattice_sum`` at a scalar z (returns a complex, summed as a
     one-node array) or an array of z (returns an array of the same shape),
     after checking Re z > 0."""
     za = np.asarray(z, dtype=complex)
     if not np.all(za.real > 0):
         raise ValueError(f"need Re z > 0, got z={z}")
-    out = _lattice_sum(r, M, scale, h, k, za.reshape(-1), signed, tol)
-    return complex(out[0]) if za.ndim == 0 else out.reshape(za.shape)
+    out = _lattice_sum(r, M, scale, h, k, np.atleast_1d(za), signed, tol)
+    return complex(out[0]) if za.ndim == 0 else out
 
 
 def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
@@ -240,8 +255,9 @@ def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
     argument scale * tau, tau = (h + i z)/k, by direct summation with a
     certified Gaussian tail; the rational part of every phase is reduced
     exactly in integer arithmetic.  z is a complex or an array of them (one
-    value each).  h = 0, k = 1, z = -i tau gives the sum at a plain
-    upper-half-plane point tau."""
+    value each); h and k are ints, or integer arrays that broadcast
+    against z (one arc per row).  h = 0, k = 1, z = -i tau gives the sum at
+    a plain upper-half-plane point tau."""
     return _direct(r, M, scale, h, k, z, False, tol)
 
 

@@ -5,24 +5,28 @@ decomposition of the arc sum as a measurable diagnostic.
 its values on the circle of radius exp(-2 pi / N^2), N = floor(sqrt(n)),
 dissected along the order-N Farey arcs.  Evaluators receive (h, k, z) so both
 the direct-summation route and the Gauss-sum transformed route can reduce
-rational phases exactly; z is the array of one rule's nodes on the arc, and
-the evaluator returns the series values there as an array of the same shape.
-Both the direct (``series_evaluator``) and the transformed
+rational phases exactly; h and k are (A, 1) integer columns of a level's
+arcs and z the (A, 2m) array of their rule nodes, one arc per row, and the
+evaluator returns the series values there as an array of z's shape.  Both
+the direct (``series_evaluator``) and the transformed
 (``transformed_evaluator``) evaluators compute each distinct
-(alpha_j, j in J) factor once per call, over the whole node array.
+(alpha_j, j in J) factor once per call: the direct one over all rows at
+once (one lattice sum per level and factor), the transformed one arc by
+arc, because its Gauss-sum tables are per k.
 
 Both drivers walk the arcs in (k, h) order with m-point Gauss-Legendre rules
 on [-theta_left, 0] and [0, theta_right], split where the integrand peaks
-(``_arc_walk``, ``_arc_rule``).  The contour makes one evaluator call per
-rule and doubles m from 16 per arc until two rules agree to the arc's share
-of the tolerance, stop converging (the evaluator's roundoff floor, once m
-has a few nodes per period of e(-n phi) on the wider side) or reach
-m = 1024; ``quad_error`` sums exp(2 pi n/N^2) times each arc's last
-difference.  The nu-decomposition takes m = 24, builds one table of
-``analytic._gauss_factor`` per distinct coordinate over all nodes of an arc,
-and contracts the four tables over the nodes once per requested nu_1 (one
-``np.einsum`` into the cube of (nu_2, nu_3, nu_4) up to the largest
-requested entry), from which it gathers the requested nu.
+(``_arc_walk``, ``_arc_rule``).  The contour runs by level: at each rule
+size m = 16, 32, ... it makes one evaluator call for every arc not yet
+stopped, and each arc stops once two of its rules agree to its share of the
+tolerance, stop converging (the evaluator's roundoff floor, once m has a
+few nodes per period of e(-n phi) on the wider side) or reach m = 1024;
+``quad_error`` sums exp(2 pi n/N^2) times each arc's last difference.  The
+nu-decomposition takes m = 24, builds one table of ``analytic._gauss_factor``
+per distinct coordinate over all nodes of an arc, and contracts the four
+tables over the nodes once per requested nu_1 (one ``np.einsum`` into the
+cube of (nu_2, nu_3, nu_4) up to the largest requested entry), from which it
+gathers the requested nu.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .analytic import (_arc_z, _gauss_factor, _unit_phase,
                        false_theta_eval_transformed, theta_eval_direct_arc,
                        theta_eval_transformed)
 from .arith import gauss_sum_table
-from .farey import arcs, rho_congruence
+from .farey import farey_sequence, rho_congruence
 from .series import FULL_J
 
 __all__ = [
@@ -57,9 +61,10 @@ __all__ = [
     "kloosterman_h_sum",
 ]
 
-# evaluator(h, k, z): the series at tau = (h + i z)/k for every entry of the
-# 1-D complex array z, returned as an array of the same shape
-ArcEvaluator = Callable[[int, int, np.ndarray], np.ndarray]
+# evaluator(h, k, z): the series at tau = (h + i z)/k for one level of arcs,
+# h and k (A, 1) integer columns and z the (A, 2m) complex array of their
+# rule nodes (one arc per row), returned as an array of z's shape
+ArcEvaluator = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,19 +101,31 @@ def _legendre(m: int) -> np.ndarray:
     return rule
 
 
-def _arc_walk(N: int):
-    """Yield (h, k, sides) for the order-N arcs in (k, h) order, with
-    sides = [-theta_left, theta_right]."""
-    for arc in sorted(arcs(N), key=lambda a: (a.k, a.h)):
-        yield arc.h, arc.k, np.array([-float(arc.theta_left),
-                                      float(arc.theta_right)])
+def _arc_walk(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order-N arcs in (k, h) order as columns: h and k as (A, 1) int64
+    arrays and sides = [-theta_left, theta_right] as an (A, 2) array.
+
+    theta_left = 1/(k (k + k1)) and theta_right = 1/(k (k + k2)) are one
+    true division of integers each, so they are the correctly rounded
+    values of the exact ``farey.FareyArc`` fractions.  The neighbours are
+    circular: left of 0/1 is (N-1)/N one turn down, right of the last
+    fraction is 1/1.
+    """
+    h, k = np.array(farey_sequence(N)).T
+    k1, k2 = np.roll(k, 1), np.roll(k, -1)
+    sides = np.stack([-1 / (k * (k + k1)), 1 / (k * (k + k2))], axis=1)
+    order = np.lexsort((h, k))
+    return h[order, None], k[order, None], sides[order]
 
 
 def _arc_rule(sides: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, weights) of the m-point rules on [-theta_left, 0] and
-    [0, theta_right], concatenated."""
+    [0, theta_right], concatenated: one arc's sides (2,) give 2m nodes, an
+    (A, 2) array of sides gives (A, 2m) rows."""
     x, w = _legendre(m)
-    return np.outer(sides, x).ravel(), np.outer(abs(sides), w).ravel()
+    shape = sides.shape[:-1] + (-1,)
+    return ((sides[..., None] * x).reshape(shape),
+            (abs(sides)[..., None] * w).reshape(shape))
 
 
 def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
@@ -116,42 +133,56 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
                            skip_arcs: Sequence[tuple[int, int]] = ()) -> ContourResult:
     """Arc-sum reconstruction of the n-th coefficient.
 
-    The evaluator is called once per rule as evaluator(h, k, z), z the array
-    of the rule's nodes, and must return the series values at
-    tau = (h + i z)/k as an array of the same shape.  Arcs are summed in
-    (k, h) order so reruns are bit-identical.  ``skip_arcs`` removes named
-    (h, k) arcs (mutation tests).
+    The rules double by level: at each m = 16, 32, ... the evaluator is
+    called once as evaluator(h, k, z) for every arc still refining, h and k
+    their (A, 1) columns and z their (A, 2m) rows of rule nodes, and must
+    return the series values at tau = (h + i z)/k in z's shape.  Each arc
+    stops by its own test, so it runs the same rules as it would alone.
+    Arcs are summed in (k, h) order so reruns are bit-identical.
+    ``skip_arcs`` removes named (h, k) arcs (mutation tests).
     """
     config = config or ContourConfig(n=n)
     if config.n != n:
         raise ValueError("config.n must match n")
     N = config.N
-    skip = set(skip_arcs)
-    walk = [arc for arc in _arc_walk(N) if arc[:2] not in skip]
-    total, err = 0j, 0.0
+    h, k, sides = _arc_walk(N)
+    if skip_arcs:
+        skip = set(skip_arcs)
+        keep = [arc not in skip
+                for arc in zip(h[:, 0].tolist(), k[:, 0].tolist())]
+        h, k, sides = h[keep], k[keep], sides[keep]
     # exp(2 pi n z/k) = exp(2 pi n/N^2) exp(-2 pi i n Phi): the constant
     # amplitude is pulled out so the rules work at unit scale
     amp = math.exp(2 * math.pi * n / N**2)
-    per_arc_tol = max(config.tol / (len(walk) * amp), 1e-14)
-    for h, k, sides in walk:
-        # a difference that stops falling is the roundoff floor only once
-        # the rule has a few nodes per period of e(-n phi) on the wider side
-        stall_m = 4 * n * float(abs(sides).max())
-        val, diff, m = None, math.inf, 16
-        while True:
-            phi, w = _arc_rule(sides, m)
-            f = evaluator(h, k, _arc_z(k, N, phi))
-            new = complex((w * np.exp(-2j * np.pi * n * phi) * f).sum())
-            if val is not None:
-                last, diff = diff, abs(new - val)
-                if (diff <= per_arc_tol or (diff >= last and m >= stall_m)
-                        or m >= 1024):
-                    val = new
-                    break
-            val, m = new, 2 * m
-        total += _unit_phase(-n * h, k) * amp * val
-        err += amp * diff
-    return ContourResult(value=total, num_arcs=len(walk), quad_error=err)
+    per_arc_tol = max(config.tol / (len(k) * amp), 1e-14)
+    # a difference that stops falling is the roundoff floor only once the
+    # rule has a few nodes per period of e(-n phi) on the wider side
+    stall_m = 4 * n * abs(sides).max(axis=1)
+    val = np.zeros(len(k), dtype=complex)
+    diff = np.full(len(k), math.inf)
+    live, m = np.arange(len(k)), 16
+    while live.size:
+        phi, w = _arc_rule(sides[live], m)
+        f = evaluator(h[live], k[live], _arc_z(k[live], N, phi))
+        new = (w * np.exp(-2j * np.pi * n * phi) * f).sum(axis=1)
+        if m > 16:
+            # hypot, as abs() of a Python complex (numpy's complex abs can
+            # differ in the last bit)
+            delta = new - val[live]
+            d = np.hypot(delta.real, delta.imag)
+            stop = ((d <= per_arc_tol) | (m >= 1024)
+                    | ((d >= diff[live]) & (m >= stall_m[live])))
+            diff[live] = d
+        else:
+            stop = np.zeros(live.size, dtype=bool)
+        val[live] = new
+        live, m = live[~stop], 2 * m
+    total, err = 0j, 0.0
+    for phase, v, d in zip(_unit_phase(-n * h[:, 0], k[:, 0]).tolist(),
+                           val.tolist(), diff.tolist()):
+        total += phase * amp * v
+        err += amp * d
+    return ContourResult(value=total, num_arcs=len(k), quad_error=err)
 
 
 def constant_evaluator() -> ArcEvaluator:
@@ -165,9 +196,9 @@ def nu_terms_for(n: int) -> int:
     return 64 if isqrt(n) <= 2 else 24
 
 
-def _prefactor(r: int, M: int, alpha_sum: int, h: int, k: int, z):
+def _prefactor(r: int, M: int, alpha_sum: int, h, k, z):
     # q^(-r^2 alpha_sum/(2M)) at q = e(tau), tau = (h+iz)/k, with the rational
-    # phase reduced exactly; z a complex or an array of them
+    # phase reduced exactly; h, k ints or columns broadcast against z
     c = r * r * alpha_sum
     den = 2 * M * k
     return _unit_phase(-h * c, den) * np.exp(2 * np.pi * z * c / den)
@@ -177,11 +208,11 @@ def _product_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
                        J: frozenset[int] | set[int], factor) -> ArcEvaluator:
     """The J-indexed product: the prefactor times factor(alpha_j, j in J,
     h, k, z) over the four coordinates, each distinct (alpha_j, j in J)
-    factor evaluated once per call, over all of z."""
+    factor evaluated once per call, over all of a level's z."""
     J = frozenset(J)
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
 
-    def f(h: int, k: int, z: np.ndarray) -> np.ndarray:
+    def f(h: np.ndarray, k: np.ndarray, z: np.ndarray) -> np.ndarray:
         factors = {c: factor(*c, h, k, z) for c in set(coords)}
         out = _prefactor(r, M, sum(alpha), h, k, z)
         for c in coords:
@@ -197,7 +228,8 @@ def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
 
     Each factor is the defining one-dimensional sum with a certified Gaussian
     tail; no modular transformation is involved.  Each distinct
-    (alpha_j, j in J) factor is summed once per call, over all of z.
+    (alpha_j, j in J) factor is one lattice sum per call, over every arc
+    and node of the level.
     """
     return _product_evaluator(
         r, M, alpha, J,
@@ -211,17 +243,21 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     """Evaluator of the same product via the Gauss-sum expansions near each
     cusp (theta factors by the modular inversion, sign-weighted factors with
     their principal-value correction).  Each distinct (alpha_j, j in J)
-    factor is expanded once per call, over all of z.
+    factor is expanded once per arc of the call, over all of its nodes:
+    the Gauss-sum tables are per k, so the arcs of a level go one by one.
 
     Pointwise errors are amplified by exp(2 pi n / N^2) in the contour sum,
     so callers working at small N should raise nu_terms (see
     ``nu_terms_for``).
     """
-    return _product_evaluator(
-        r, M, alpha, J,
-        lambda a, in_J, h, k, z: theta_eval_transformed(r, M, a, h, k, z)
-        if in_J else false_theta_eval_transformed(r, M, a, h, k, z,
-                                                  nu_terms=nu_terms))
+    def factor(a, in_J, h, k, z):
+        return np.array([
+            theta_eval_transformed(r, M, a, hi, ki, zi) if in_J
+            else false_theta_eval_transformed(r, M, a, hi, ki, zi,
+                                              nu_terms=nu_terms)
+            for hi, ki, zi in zip(h[:, 0].tolist(), k[:, 0].tolist(), z)])
+
+    return _product_evaluator(r, M, alpha, J, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +301,9 @@ def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
         size = int(idx[rows, 1:].max()) + 1
         groups.append((a, rows, size, idx[rows, 1],
                        idx[rows, 2] * size + idx[rows, 3]))
-    for h, k, sides in _arc_walk(N):
-        phi, w = _arc_rule(sides, 24)
+    hs, ks, sides = _arc_walk(N)
+    for h, k, s in zip(hs[:, 0].tolist(), ks[:, 0].tolist(), sides):
+        phi, w = _arc_rule(s, 24)
         z = _arc_z(k, N, phi)
         # one (nu, node) table per distinct coordinate over all nodes
         tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], width - 1)
@@ -302,7 +339,12 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
 def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> int:
     """Norm cap that keeps the dropped Gaussian tail below 1e-6 after the
     exp(2 pi n/N^2) amplification (envelope exp(-pi nu^2 Re(1/z)/(4 M k a)),
-    Re(1/z)/k >= 1/2 on every arc)."""
+    Re(1/z)/k >= 1/2 on every arc).
+
+    It bounds the tail only, not the roundoff of the kept terms: at N = 1
+    the contributions grow with n and cancel, and at (r, M, J, n) =
+    (1, 2, {1,2,3}, 3) contributions up to 1.1e11 leave 8.2e-6 of roundoff
+    in the sum."""
     N = max(1, isqrt(n))
     amax = max(alpha)
     need = (8.0 * M * amax / math.pi) * (
@@ -325,7 +367,10 @@ def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
                       J: frozenset[int] | set[int],
                       n: int) -> tuple[complex, dict]:
     """Sum the weighted nu-contributions with ||nu|| <= ``nu_norm_cap_for``,
-    the cap that keeps the dropped tail below 1e-6.
+    the cap that keeps the dropped tail below 1e-6.  The total can be
+    further off than that: at N = 1 (n <= 3) the contributions cancel from
+    up to 1.1e11 (at (1, 2, {1,2,3}, n = 3)), and their roundoff leaves
+    8.2e-6.
 
     Weights: 1/(16 M^2 prod sqrt(alpha_j)) times 1/2 per vanishing nu_j.
     Returns (value, per-nu breakdown).
@@ -361,7 +406,8 @@ def error_exponent_fit(ns: Sequence[float], errors: Sequence[float]) -> Exponent
     """Fit |error| ~ C n^s by least squares in log-log coordinates.
 
     Zero errors are dropped; if everything is zero the agreement is exact and
-    the fit reports that instead of a slope.
+    the fit reports that instead of a slope.  Points that all share one n
+    have no slope: the fit reports slope 0 and their mean log error.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.abs(np.asarray(errors, dtype=float))
@@ -374,16 +420,15 @@ def error_exponent_fit(ns: Sequence[float], errors: Sequence[float]) -> Exponent
     if len(x) < 2:
         return ExponentFit(slope=0.0, intercept=float(y[0]), stderr=0.0,
                            n_points=1)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    dof = max(len(x) - 2, 1)
-    resid = y - A @ coef
-    s2 = float(resid @ resid) / dof
-    sxx = float(((x - x.mean()) ** 2).sum())
+    # the centred closed form of the least-squares line
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx if sxx > 0 else 0.0
+    resid = dy - slope * dx
+    s2 = float(resid @ resid) / max(len(x) - 2, 1)
     stderr = math.sqrt(s2 / sxx) if sxx > 0 else 0.0
-    return ExponentFit(slope=slope, intercept=intercept, stderr=stderr,
-                       n_points=int(len(x)))
+    return ExponentFit(slope=slope, intercept=float(y.mean() - slope * x.mean()),
+                       stderr=stderr, n_points=int(len(x)))
 
 
 def kloosterman_h_sum(n: int, k: int, M: int,

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from polytheta.analytic import _arc_z, _gauss_factor, _unit_phase
+from polytheta.analytic import (_PV_CHUNK, _arc_z, _gauss_factor,
+                                _lattice_sum, _unit_phase)
 from polytheta.circle import (ContourConfig, _arc_rule, _arc_walk,
                               constant_evaluator, coefficient_by_contour,
                               error_exponent_fit, i_nu_contributions,
                               kloosterman_h_sum, nu_norm_cap_for,
                               nu_terms_for, reconstruct_by_nu,
                               series_evaluator, transformed_evaluator)
+from polytheta.farey import arcs
 from polytheta.series import FULL_J, f_J_series
 
 
@@ -64,7 +66,7 @@ def test_direct_contour_mixed_J():
 
 def test_contour_rule_splits_at_the_cusp_and_stops_at_the_cap():
     # n = 0 has one arc, phi in [-1/2, 1/2], and z.imag = -phi on it; the
-    # evaluator gets one array of nodes per rule
+    # evaluator gets one (1, 2m) row of nodes per rule
     def counted(f):
         def ev(h, k, z):
             calls.append(z.size)
@@ -84,6 +86,102 @@ def test_contour_rule_splits_at_the_cusp_and_stops_at_the_cap():
     res = coefficient_by_contour(counted(lambda x: x ** -0.5), 0)
     assert sum(calls) == 2 * sum(16 * 2**i for i in range(7))
     assert abs(res.value - 4 * math.sqrt(0.5)) <= 2 * res.quad_error <= 4e-3
+
+
+def _contour_by_arc(evaluator, n, config=None):
+    """The arc-by-arc doubling loop that ``coefficient_by_contour`` runs by
+    level: each arc refines alone, with the evaluator called on one-row
+    columns."""
+    config = config or ContourConfig(n=n)
+    N = config.N
+    hs, ks, sides = _arc_walk(N)
+    total, err = 0j, 0.0
+    amp = math.exp(2 * math.pi * n / N**2)
+    per_arc_tol = max(config.tol / (len(ks) * amp), 1e-14)
+    for h, k, s in zip(hs[:, 0].tolist(), ks[:, 0].tolist(), sides):
+        stall_m = 4 * n * float(abs(s).max())
+        val, diff, m = None, math.inf, 16
+        while True:
+            phi, w = _arc_rule(s, m)
+            f = evaluator(np.array([[h]]), np.array([[k]]),
+                          _arc_z(k, N, phi)[None])[0]
+            new = complex((w * np.exp(-2j * np.pi * n * phi) * f).sum())
+            if val is not None:
+                last, diff = diff, abs(new - val)
+                if (diff <= per_arc_tol or (diff >= last and m >= stall_m)
+                        or m >= 1024):
+                    val = new
+                    break
+            val, m = new, 2 * m
+        total += _unit_phase(-n * h, k) * amp * val
+        err += amp * diff
+    return total, err
+
+
+def _rules_recorded(evaluator):
+    """The evaluator, and the dict (h, k) -> rule sizes m that it fills with
+    every row it is called on."""
+    rules = {}
+
+    def ev(h, k, z):
+        for arc in zip(h[:, 0].tolist(), k[:, 0].tolist()):
+            rules.setdefault(arc, []).append(z.shape[1] // 2)
+        return evaluator(h, k, z)
+    return ev, rules
+
+
+def test_contour_by_level_matches_arc_by_arc_loop():
+    # the benchmark's direct bands, two wide-N direct cases and one
+    # transformed case: the same value and quad_error, and every arc runs
+    # the same rule sizes
+    cases = [(series_evaluator(r, M, (1, 1, 1, 1), J), n, None)
+             for M, r in ((2, 1), (3, 1), (4, 3), (6, 5))
+             for J in (frozenset({1}), frozenset({2, 4}), frozenset({1, 2, 3}))
+             for n in (37, 102)]
+    cases += [(series_evaluator(1, 2, (1, 1, 1, 1), frozenset({1, 2, 3})), n,
+               None) for n in (400, 1000)]
+    cases.append((transformed_evaluator(1, 2, (1, 1, 1, 1), frozenset({2, 4}),
+                                        nu_terms=nu_terms_for(12)), 12,
+                  ContourConfig(n=12, mode="transformed", tol=1e-8)))
+    for ev, n, config in cases:
+        by_level, level_rules = _rules_recorded(ev)
+        by_arc, arc_rules = _rules_recorded(ev)
+        res = coefficient_by_contour(by_level, n, config)
+        value, err = _contour_by_arc(by_arc, n, config)
+        assert abs(res.value - value) <= 1e-12, n
+        assert abs(res.quad_error - err) <= 1e-12, n
+        assert level_rules == arc_rules, n
+
+
+def test_lattice_sum_batched_rows_equal_single_arc_calls():
+    # one call over a level's rows gives each node the value of the call
+    # for its arc alone, bit for bit; N = 11 with 64 nodes a side stays
+    # under _PV_CHUNK entries, N = 30 with 128 a side goes past it
+    for N, m in ((11, 16), (30, 64)):
+        h, k, sides = _arc_walk(N)
+        phi, _ = _arc_rule(sides, m)
+        z = _arc_z(k, N, phi)
+        for M, r, scale in ((2, 1, 2), (3, 2, 4), (6, 5, 2)):
+            for signed in (False, True):
+                mod = 2 * M if signed else M
+                rows = _lattice_sum(r, mod, scale, h, k, z, signed, 1e-16)
+                for i, (hi, ki) in enumerate(zip(h[:, 0].tolist(),
+                                                 k[:, 0].tolist())):
+                    one = _lattice_sum(r, mod, scale, hi, ki, z[i], signed,
+                                       1e-16)
+                    assert np.array_equal(rows[i], one), (N, M, signed, hi, ki)
+    assert z.size > _PV_CHUNK
+
+
+def test_arc_walk_columns_equal_exact_arcs():
+    for N in range(1, 61):
+        h, k, sides = _arc_walk(N)
+        exact = sorted(arcs(N), key=lambda a: (a.k, a.h))
+        assert h.shape == k.shape == (len(exact), 1)
+        assert h[:, 0].tolist() == [a.h for a in exact]
+        assert k[:, 0].tolist() == [a.k for a in exact]
+        assert sides.tolist() == [[-float(a.theta_left), float(a.theta_right)]
+                                  for a in exact]
 
 
 def test_transformed_contour_matches_direct():
@@ -149,8 +247,9 @@ def _i_nu_by_node(r, M, alpha, J, nus, n):
     c_shift = r * r * sum(alpha) / (2.0 * M)
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
     nu_max = int(idx.max(initial=0))
-    for h, k, sides in _arc_walk(N):
-        phi, w = _arc_rule(sides, 24)
+    hs, ks, sides = _arc_walk(N)
+    for h, k, s in zip(hs[:, 0].tolist(), ks[:, 0].tolist(), sides):
+        phi, w = _arc_rule(s, 24)
         z = _arc_z(k, N, phi)
         tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], nu_max).T
                   for c in set(coords)}
@@ -236,6 +335,30 @@ def test_error_exponent_fit_synthetic():
     assert flat.slope == pytest.approx(0.0, abs=0.01)
     zero = error_exponent_fit(ns, np.zeros(len(ns)))
     assert zero.all_zero
+
+
+def test_error_exponent_fit_matches_polyfit_and_lstsq():
+    rng = np.random.default_rng(5)
+    for size in (2, 3, 17, 400):
+        ns = np.sort(rng.uniform(5, 1e5, size))
+        errs = ns ** rng.uniform(-1, 1) * np.exp(rng.normal(0, 0.3, size))
+        fit = error_exponent_fit(ns, errs)
+        x, y = np.log(ns), np.log(errs)
+        slope, intercept = np.polyfit(x, y, 1)
+        A = np.vstack([x, np.ones_like(x)]).T
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        resid = y - A @ coef
+        stderr = math.sqrt(float(resid @ resid) / max(size - 2, 1)
+                           / float(((x - x.mean()) ** 2).sum()))
+        pairs = [(fit.slope, slope), (fit.slope, coef[0]),
+                 (fit.intercept, intercept), (fit.intercept, coef[1])]
+        # two points fit exactly: both residuals are roundoff
+        pairs += [(fit.stderr, stderr)] if size > 2 else []
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), size
+        assert fit.n_points == size
+    one = error_exponent_fit([10.0, 20.0], [0.0, 3.0])
+    assert (one.n_points, one.slope, one.intercept) == (1, 0.0, math.log(3.0))
 
 
 def test_error_exponent_fit_band_contains_truth():
