@@ -12,8 +12,8 @@ Importing it, like any polytheta module, loads no scipy: ``analytic`` and
 """
 from __future__ import annotations
 
+import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -125,30 +125,40 @@ def cotangent_window_means() -> list[tuple[int, int, tuple[float, float, float]]
     return out
 
 
-def _reflection_failure(arcs):
-    rho1 = {(a.h, a.k): a.rho1 for a in arcs}
-    return next((a for a in arcs if a.k > 1 and a.rho2 != rho1[(a.k - a.h, a.k)]),
-                None)
+def _measure(h, k, h1, k1, h2, k2, N):
+    # the next arc and its left neighbour, after the last one turn up
+    nh, nk, nh1, nk1 = np.roll([h, k, h1, k1], -1, axis=1)
+    nh[-1] += nk[-1]
+    nh1[-1] += nk1[-1]
+    chained = ((k >= 1) & (h2 == nh) & (k2 == nk) & (nh1 == h) & (nk1 == k)
+               & (nh * k - h * nk == 1))
+    return (np.arange(len(h)) == 0) & ~chained.all()
 
 
-# each property maps the arcs of one order to its first failing arc, or None
+# Each property maps the int64 columns h, k, h1, k1, h2, k2, N of one
+# order's arcs, in sequence order, to the mask of the arcs where it fails;
+# rho1 = k + k1 - N and rho2 = k + k2 - N.
 FAREY_PROPERTIES = {
-    # adjacency determinants h k1 - h1 k = h2 k - h k2 = 1
-    "determinants": lambda arcs: next(
-        (a for a in arcs
-         if a.h * a.k1 - a.h1 * a.k != 1 or a.h2 * a.k - a.h * a.k2 != 1), None),
-    "rho_range": lambda arcs: next(
-        (a for a in arcs if not (1 <= a.rho1 <= a.k and 1 <= a.rho2 <= a.k)), None),
-    # lemma 6.2: rho1 is the class rho in (0, k] with h (N + rho) = 1 (mod k)
-    "congruence": lambda arcs: next(
-        (a for a in arcs if farey.rho_congruence(a.h, a.k, a.N) != a.rho1), None),
-    # lemma 3.1: the reflection h/k -> (k-h)/k swaps the neighbours,
-    # rho2(h) = rho1(k-h)
-    "reflection": _reflection_failure,
-    # the measures sum to exactly 1 (reported at the first arc); an exact
-    # rational sum, the costly property
-    "measure": lambda arcs: (None if sum((a.measure for a in arcs), Fraction(0)) == 1
-                             else arcs[0]),
+    # the adjacency determinants h k1 - h1 k = h2 k - h k2 = 1
+    "determinants": lambda h, k, h1, k1, h2, k2, N:
+        (h * k1 - h1 * k != 1) | (h2 * k - h * k2 != 1),
+    # 1 <= rho1, rho2 <= k, that is N - k < k1, k2 <= N
+    "rho_range": lambda h, k, h1, k1, h2, k2, N:
+        (np.minimum(k1, k2) <= N - k) | (np.maximum(k1, k2) > N),
+    # lemma 6.2: rho1 is the class rho in (0, k] with h (N + rho) = 1
+    # (mod k), the one ``farey.rho_congruence`` computes; N + rho1 = k + k1
+    "congruence": lambda h, k, h1, k1, h2, k2, N:
+        (k1 <= N - k) | (k1 > N) | ((h * (k + k1) - 1) % np.maximum(k, 1) != 0),
+    # lemma 3.1: the reflection h/k -> (k-h)/k takes arc i to arc A - i (0/1
+    # to itself) and swaps the neighbours: for k > 1, (h, k, rho1) of arc
+    # A - i is (k - h, k, rho2) of arc i
+    "reflection": lambda h, k, h1, k1, h2, k2, N: (k > 1) & (
+        np.array([h, k, k + k1 - N])[:, -np.arange(len(h)) % len(h)]
+        != [k - h, k, k + k2 - N]).any(axis=0),
+    # the neighbours chain around one turn and every gap has determinant 1,
+    # so theta_right(i) + theta_left(i+1) = h_{i+1}/k_{i+1} - h_i/k_i and
+    # the measures telescope to exactly 1 (a break is reported at arc 0)
+    "measure": _measure,
 }
 
 
@@ -161,10 +171,12 @@ def farey_structure(N_max: int, properties) -> tuple[int, tuple | None]:
     checked = 0
     for N in range(1, N_max + 1):
         arcs = farey.arcs(N)
+        cols = np.fromiter(itertools.chain.from_iterable(arcs), np.int64,
+                           7 * len(arcs)).reshape(-1, 7)  # np.array(arcs)
         for name in properties:
-            bad = FAREY_PROPERTIES[name](arcs)
-            if bad is not None:
-                return checked, (N, bad.h, bad.k, name)
+            bad = np.flatnonzero(FAREY_PROPERTIES[name](*cols.T))
+            if bad.size:
+                return checked, (N, *cols[bad[0], :2].tolist(), name)
         checked += len(arcs)
     return checked, None
 

@@ -22,11 +22,8 @@ stopped, and each arc stops once two of its rules agree to its share of the
 tolerance, stop converging (the evaluator's roundoff floor, once m has a
 few nodes per period of e(-n phi) on the wider side) or reach m = 1024;
 ``quad_error`` sums exp(2 pi n/N^2) times each arc's last difference.  The
-nu-decomposition takes m = 24, builds one table of ``analytic._gauss_factor``
-per distinct coordinate over all nodes of an arc, and contracts the four
-tables over the nodes once per requested nu_1 (one ``np.einsum`` into the
-cube of (nu_2, nu_3, nu_4) up to the largest requested entry), from which it
-gathers the requested nu.
+nu-decomposition takes m = 24 and contracts its per-arc nu-sum tables over
+the nodes (``_nu_contraction``).
 """
 from __future__ import annotations
 
@@ -43,7 +40,7 @@ from .analytic import (_arc_z, _gauss_factor, _unit_phase,
                        false_theta_eval_transformed, theta_eval_direct_arc,
                        theta_eval_transformed)
 from .arith import gauss_sum_table
-from .farey import farey_sequence, rho_congruence
+from .farey import arcs, rho_congruence
 from .series import FULL_J
 
 __all__ = [
@@ -102,17 +99,11 @@ def _legendre(m: int) -> np.ndarray:
 
 
 def _arc_walk(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order-N arcs in (k, h) order as columns: h and k as (A, 1) int64
-    arrays and sides = [-theta_left, theta_right] as an (A, 2) array.
-
-    theta_left = 1/(k (k + k1)) and theta_right = 1/(k (k + k2)) are one
-    true division of integers each, so they are the correctly rounded
-    values of the exact ``farey.FareyArc`` fractions.  The neighbours are
-    circular: left of 0/1 is (N-1)/N one turn down, right of the last
-    fraction is 1/1.
-    """
-    h, k = np.array(farey_sequence(N)).T
-    k1, k2 = np.roll(k, 1), np.roll(k, -1)
+    """The arcs of ``farey.arcs(N)`` in (k, h) order as columns: h and k as
+    (A, 1) int64 arrays and sides = [-theta_left, theta_right] as an (A, 2)
+    array, each side one true division of integers, so the correctly
+    rounded value of its exact ``farey.FareyArc`` fraction."""
+    h, k, _, k1, _, k2, _ = np.array(arcs(N), dtype=np.int64).T
     sides = np.stack([-1 / (k * (k + k1)), 1 / (k * (k + k2))], axis=1)
     order = np.lexsort((h, k))
     return h[order, None], k[order, None], sides[order]
@@ -154,7 +145,7 @@ def coefficient_by_contour(evaluator: ArcEvaluator, n: int,
     # exp(2 pi n z/k) = exp(2 pi n/N^2) exp(-2 pi i n Phi): the constant
     # amplitude is pulled out so the rules work at unit scale
     amp = math.exp(2 * math.pi * n / N**2)
-    per_arc_tol = max(config.tol / (len(k) * amp), 1e-14)
+    per_arc_tol = max(config.tol / (max(len(k), 1) * amp), 1e-14)
     # a difference that stops falling is the roundoff floor only once the
     # rule has a few nodes per period of e(-n phi) on the wider side
     stall_m = 4 * n * abs(sides).max(axis=1)
@@ -288,6 +279,8 @@ def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
     base_i t1[a, i] t2[nu_2, i] (t3 t4)[(nu_3, nu_4), i] into every
     (nu_2, nu_3, nu_4) up to the largest entry requested with that nu_1,
     from which the requested entries are gathered."""
+    if J == FULL_J:
+        raise ValueError("the nu-decomposition needs at least one factor off J")
     N = max(1, isqrt(n))
     acc = np.zeros(len(idx), dtype=complex)
     c_shift = r * r * sum(alpha) / (2.0 * M)
@@ -328,11 +321,8 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
     nu-sum tables across all requested nu (24 nodes per side), contracted
     over the nodes once per requested nu_1 (``_nu_contraction``).  Every nu
     must be four non-negative integers (ValueError otherwise)."""
-    J = frozenset(J)
-    if J == FULL_J:
-        raise ValueError("the nu-decomposition needs at least one factor off J")
     keys = [tuple(nu) for nu in nus]
-    acc = _nu_contraction(r, M, alpha, J, _nu_index(keys), n)
+    acc = _nu_contraction(r, M, alpha, frozenset(J), _nu_index(keys), n)
     return dict(zip(keys, acc.tolist()))
 
 
@@ -352,15 +342,14 @@ def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> int:
     return math.ceil(math.sqrt(max(need, 1.0)))
 
 
-def _nu_ball(cap: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
-    """The nu in {0..cap}^4 with ||nu|| <= cap as tuples, in the C order of
-    the ball's mask (which is itertools.product's order), and their weights
-    1/2 per vanishing entry."""
+def _nu_ball(cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nu in {0..cap}^4 with ||nu|| <= cap as a (count, 4) index array,
+    in the C order of the ball's mask (which is itertools.product's order),
+    and their weights 1/2 per vanishing entry."""
     sq = np.arange(cap + 1) ** 2
     ball = np.nonzero((sq[:, None, None] + sq[:, None] + sq)[..., None]
                       <= cap * cap - sq)
-    return (list(zip(*(a.tolist() for a in ball))),
-            0.5 ** sum(a == 0 for a in ball))
+    return np.stack(ball, axis=1), 0.5 ** sum(a == 0 for a in ball)
 
 
 def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -375,12 +364,11 @@ def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
     Weights: 1/(16 M^2 prod sqrt(alpha_j)) times 1/2 per vanishing nu_j.
     Returns (value, per-nu breakdown).
     """
-    nus, weights = _nu_ball(nu_norm_cap_for(n, M, alpha))
-    contrib = i_nu_contributions(r, M, alpha, J, nus, n)
+    idx, weights = _nu_ball(nu_norm_cap_for(n, M, alpha))
+    acc = _nu_contraction(r, M, alpha, frozenset(J), idx, n)
     pref = 1.0 / (16.0 * M * M * math.prod(math.sqrt(a) for a in alpha))
-    vals = np.fromiter(contrib.values(), dtype=complex, count=len(contrib))
-    total = pref * complex((weights * vals).sum())
-    return total, contrib
+    total = pref * complex((weights * acc).sum())
+    return total, dict(zip(zip(*idx.T.tolist()), acc.tolist()))
 
 
 # ---------------------------------------------------------------------------

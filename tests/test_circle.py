@@ -33,6 +33,12 @@ def test_skipping_an_arc_breaks_completeness():
         assert partial.num_arcs == full.num_arcs - 1
 
 
+def test_skipping_every_arc_gives_an_empty_sum():
+    # n = 0 has the single arc 0/1; without it the sum has no terms
+    res = coefficient_by_contour(constant_evaluator(), 0, skip_arcs=[(0, 1)])
+    assert (res.value, res.num_arcs, res.quad_error) == (0, 0, 0.0)
+
+
 def test_direct_contour_full_J():
     # n = 200 (N = 14) needs more nodes per arc than any n <= 30
     r, M, alpha = 1, 2, (1, 1, 1, 1)
