@@ -26,22 +26,28 @@ The theta sums are evaluated in two ways, each by one kernel:
   transformed evaluators sum it over nu; the circle-method nu-decomposition
   (``circle.i_nu_contributions``) multiplies it across the four coordinates.
   Off J its nu = 0 entry is the principal-value window sum
-  ``_window_entry``.  Like the direct route it takes a scalar z or the
-  array of one rule's nodes (nodes on the trailing axis of every table):
-  T is built once per call, the nu cutoff is taken from the node of
-  smallest decay, and the Faddeeva evaluations of the window sum run over
-  the nodes in chunks of at most ``_PV_CHUNK`` entries.
+  ``_window_entry``, in the Fourier/residue form of ``_window_sum``: lemma
+  5.8's cotangent completed to an exact sine series, so the window is two
+  Gaussian series mod 2Mk (``_gauss_series``), with no Faddeeva function.
+  Like the direct route it takes a scalar z or the array of one rule's
+  nodes (nodes on the trailing axis of every table): T and the Fourier
+  table are built once per call, every cutoff is taken from the node of
+  smallest decay, and the exponentials run in blocks of at most
+  ``_PV_CHUNK`` entries.
 
-Three routes to the principal-value integral are provided:
+Three routes to the principal-value integral itself are provided:
 
 * ``pv_integral``         -- the split form: residue term + a smooth middle
                              integral + two half-line tails (quadrature);
 * ``pv_integral_direct``  -- symmetric-excision principal-value quadrature of
                              the defining integral (the independent oracle);
 * ``pv_closed_form_batch`` -- Faddeeva-function closed form over an array
-                             of mu (fast; used by the nu-sums).
+                             of mu (used by the nu-sums).
 
 The first two are kept deliberately independent; tests require them to agree.
+``pv_closed_form_batch`` and the nu-sums built on it (``nu_sum_batch``, with
+digamma and Hurwitz-zeta tails) are the oracle of the window and the
+lemma 5.8 check; the evaluators do not call them.
 """
 from __future__ import annotations
 
@@ -165,10 +171,11 @@ def _unit_phase(num, den):
 # ---------------------------------------------------------------------------
 
 # entries per array block of the node-wise sums: (term, node) per exponential
-# block of ``_lattice_sum`` and (window index, shifted pair, node) per
-# Faddeeva call of ``nu_sum_batch``; the block is cut along terms or nodes to
-# at most this many entries (one term or node at a time where the other axis
-# alone is larger)
+# block of ``_lattice_sum`` and ``_gauss_series``, and (window index, shifted
+# pair, node) per Faddeeva call of ``nu_sum_batch``; the block is cut along
+# terms or nodes to at most this many entries (in ``_lattice_sum`` and
+# ``nu_sum_batch``, one term or node at a time where the other axis alone is
+# larger)
 _PV_CHUNK = 8192
 
 
@@ -291,12 +298,11 @@ def _by_node(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z,
-                  in_J: bool, nu_max: int, nu_terms: int = 24) -> np.ndarray:
+                  in_J: bool, nu_max: int) -> np.ndarray:
     """F(nu) = g(nu) [T(nu) + T(-nu)] on J and g(nu) [T(nu) - T(-nu)] off J,
     with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max; off J
-    the nu = 0 entry is ``_window_entry`` (with ``nu_terms`` shifted pairs).
-    z is a complex or a 1-D array of them; the result has nu on its first
-    axis and z's shape after it.
+    the nu = 0 entry is ``_window_entry``.  z is a complex or a 1-D array of
+    them; the result has nu on its first axis and z's shape after it.
 
     One coordinate of the expanded arc integrand: the transformed evaluators
     sum it over nu (halving nu = 0), and the nu-decomposition multiplies it
@@ -309,47 +315,112 @@ def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z,
     g = np.exp(_by_node(nus * nus, z) * (-np.pi / (4 * M * k * alpha_j * z)))
     f = _by_node(plus + minus if in_J else plus - minus, z) * g
     if not in_J:
-        f[0] = _window_entry(r, M, alpha_j, h, k, z, nu_terms)
+        f[0] = _window_entry(r, M, alpha_j, h, k, z)
     return f
 
 
-def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int, z,
-                  nu_terms: int = 24) -> np.ndarray:
+# relative size of the first dropped term of every Gaussian series of the
+# transformed route (its nu-sum and both series of the window)
+_GAUSS_TAIL = 1e-18
+
+
+def _gauss_series(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum over m >= 1 of coef[m mod L] exp(-y m^2), L = len(coef), at every
+    entry of the complex array y (Re y > 0), through the first m whose
+    damping is below ``_GAUSS_TAIL`` at the smallest Re y.  The nodes go in
+    slices of at most ``_PV_CHUNK`` and the terms in chunks, so that every
+    exponential block (terms x nodes) holds at most ``_PV_CHUNK`` entries."""
+    cut = _gaussian_cutoff(float(np.min(y.real)), _GAUSS_TAIL, 1)
+    nodes = y.reshape(-1)
+    total = np.zeros(nodes.shape, dtype=complex)
+    step = min(nodes.size, _PV_CHUNK)
+    per = _PV_CHUNK // step
+    for j in range(0, nodes.size, step):
+        part = nodes[j:j + step]
+        for i in range(1, cut + 1, per):
+            m = np.arange(i, min(i + per, cut + 1))
+            block = (-(m * m).astype(float))[:, None] * part
+            np.exp(block, out=block)
+            block *= coef[m % len(coef), None]
+            total[j:j + step] += block.sum(axis=0)
+    return total.reshape(y.shape)
+
+
+def _window_sum(dT: np.ndarray, M: int, alpha_j: int, k: int,
+                z: np.ndarray) -> np.ndarray:
+    """(2i/pi) sum over l = 1..Mk-1 of dT[l] S_l, where S_l is the nu-sum of
+    principal-value integrals at the arguments l + L nu (L = 2Mk) and dT a
+    length-L table that is odd mod L (dT[-l mod L] = -dT[l]); an array of
+    z's shape.
+
+    Summed over mu = l (mod L), the kernel 1/(x - mu) of the principal
+    values is (pi/L) cot(pi (x - l)/L), whose principal value is the sine
+    series 2 sum_{m>=1} sin(2 pi m (x - l)/L); against the weight
+    exp(-w x^2), w = pi/(4 M k alpha_j z), that gives
+
+        S_l = -(2 pi/L) sqrt(pi/w) sum_{m>=1} sin(2 pi m l/L)
+                  exp(-pi alpha_j z m^2/(M k))
+              + pi i sum_nu sgn(l + L nu) exp(-w (l + L nu)^2).
+
+    Lemma 5.8's ``cot_main_term`` is the limit of the first sum as z -> 0.
+    Both sums are Gaussian series mod L: the first with the sine table
+    D(m) = sum_l dT[l] sin(2 pi m l/L), each angle reduced exactly in
+    integers, and the second, over mu = |l + L nu| >= 1, with dT[mu mod L]
+    itself (dT is odd, and dT[0] = dT[Mk] = 0).  No Faddeeva function and
+    no truncated sum over shifted pairs: every series runs to its Gaussian
+    tail (``_gauss_series``).  The m-series decays like
+    exp(-pi alpha_j m^2/(M N^2)) on every order-N arc, the residue series
+    at least like exp(-pi mu^2/(8 M alpha_j)).
+    """
+    L = 2 * M * k
+    ells = np.arange(1, M * k)
+    j = np.arange(L)
+    sines = np.sin(2 * np.pi * j / L)[(j[:, None] * ells) % L]
+    # np.einsum (not @) runs its own loops and maps no BLAS buffers
+    D = np.einsum("jl,l->j", sines, dT[ells])
+    fourier = _gauss_series(D, np.pi * alpha_j / (M * k) * z)
+    residues = _gauss_series(dT, np.pi / (4 * M * k * alpha_j * z))
+    # (2i/pi) (-(2 pi/L) sqrt(pi/w)) = -(4i/(Mk)) sqrt(M k alpha_j z) and
+    # (2i/pi) (pi i) = -2
+    return ((-4j / (M * k)) * np.sqrt(M * k * alpha_j * z) * fourier
+            - 2 * residues)
+
+
+def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int,
+                  z) -> np.ndarray:
     """The off-J nu = 0 entry of the factor: 2 (i/pi) sum_l T(l) S_l over
     the window l in [1-Mk, -1] u [1, Mk], where S_l is the nu-sum of
     principal-value integrals (the factor 2 is the eps-sum at nu = 0); an
     array of z's shape.
 
-    The principal-value integral is odd in mu, so S_{-l} = -S_l, and S_Mk
+    T is periodic mod L = 2Mk and S_l odd in l, so S_{-l} = -S_l and S_Mk
     = 0 (its arguments Mk (2 Z + 1) are symmetric about 0): the window sum
-    is taken as sum over l = 1..Mk-1 of [T(l) - T(-l)] S_l.
+    is ``_window_sum`` of the odd table T(l) - T(-l), l = 0..L-1.
     """
     z = np.asarray(z, dtype=complex)
-    ells = np.arange(1, M * k)
-    sums = nu_sum_batch(ells, M, alpha_j, k, z, terms=nu_terms)
-    terms = (_gauss_terms(r, M, alpha_j, h, k, ells)
-             - _gauss_terms(r, M, alpha_j, h, k, -ells))
-    return 2j / np.pi * (_by_node(terms, z) * sums).sum(axis=0)
+    L = 2 * M * k
+    t = _gauss_terms(r, M, alpha_j, h, k, np.arange(L))
+    return _window_sum(t - t[-np.arange(L) % L], M, alpha_j, k, z)
 
 
 def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z,
-                     in_J: bool, nu_terms: int):
+                     in_J: bool):
     """The prefactor e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k alpha_j z)) times
     the nu-sum of ``_gauss_factor`` (nu = 0 halved), cut where the Gaussian
-    envelope is below 1e-18 at the node of smallest decay (each further term
-    is below 1e-18 of the envelope at every node); off J the nu = 0 entry is
-    ``_window_entry``.  A complex z gives a complex, a 1-D array of z an
-    array of the same shape."""
+    envelope is below ``_GAUSS_TAIL`` at the node of smallest decay (each
+    further term is below that share of the envelope at every node); off J
+    the nu = 0 entry is ``_window_entry``.  A complex z gives a complex, a
+    1-D array of z an array of the same shape."""
     if math.gcd(h, k) != 1:
         raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
     z = np.asarray(z, dtype=complex)
     pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
         2 * np.sqrt(M * k * alpha_j * z))
     # the first nu > 8 where |g(nu)| = exp(-Re(pi/(4 M k alpha_j z)) nu^2)
-    # is below 1e-18 at every node
+    # is below the tail share at every node
     decay = float(np.min((np.pi / (4 * M * k * alpha_j * z)).real))
     f = _gauss_factor(r, M, alpha_j, h, k, z, in_J,
-                      _gaussian_cutoff(decay, 1e-18, 9), nu_terms)
+                      _gaussian_cutoff(decay, _GAUSS_TAIL, 9))
     out = pref * (f[0] / 2 + f[1:].sum(axis=0))
     return complex(out) if out.ndim == 0 else out
 
@@ -362,7 +433,7 @@ def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int, z):
     Matches theta_eval_direct_arc(r, 2M, 2*alpha_j, h, k, z) up to the Gaussian
     tail cutoff; cost is O(k) Gauss-sum table setup plus a handful of terms.
     """
-    return _transformed_sum(r, M, alpha_j, h, k, z, True, 0)
+    return _transformed_sum(r, M, alpha_j, h, k, z, True)
 
 
 def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
@@ -373,10 +444,15 @@ def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
     The sign-weighted sum is not modular; the expansion carries, besides the
     theta-like Gauss-sum part, a correction assembled from principal-value
     integrals (one nu-sum per window index l), which takes the place of the
-    nu = 0 term.  The Gauss-sum second argument is 2 r alpha_j h + l, matching
-    the quadratic-completion bookkeeping of the full product expansion.
+    nu = 0 term (``_window_entry``).  The Gauss-sum second argument is
+    2 r alpha_j h + l, matching the quadratic-completion bookkeeping of the
+    full product expansion.
+
+    ``nu_terms`` is ignored: the window has no shifted-pair truncation.  The
+    argument is kept for existing callers and will be deleted (ROADMAP
+    item 8).
     """
-    return _transformed_sum(r, M, alpha_j, h, k, z, False, nu_terms)
+    return _transformed_sum(r, M, alpha_j, h, k, z, False)
 
 
 # ---------------------------------------------------------------------------

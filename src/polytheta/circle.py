@@ -182,8 +182,10 @@ def constant_evaluator() -> ArcEvaluator:
 
 
 def nu_terms_for(n: int) -> int:
-    """Shifted-pair count that keeps the nu-sum tail negligible after the
-    exp(2 pi n/N^2) amplification of the widest arcs."""
+    """The shifted-pair count the principal-value window once needed at
+    index n.  The window is now summed to its Gaussian tail, so
+    ``transformed_evaluator`` ignores the value; the function is kept for
+    existing callers and will be deleted (ROADMAP item 8)."""
     return 64 if isqrt(n) <= 2 else 24
 
 
@@ -233,19 +235,18 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
                           nu_terms: int = 24) -> ArcEvaluator:
     """Evaluator of the same product via the Gauss-sum expansions near each
     cusp (theta factors by the modular inversion, sign-weighted factors with
-    their principal-value correction).  Each distinct (alpha_j, j in J)
+    their principal-value correction, summed to its Gaussian tail as a
+    Fourier series and a residue series).  Each distinct (alpha_j, j in J)
     factor is expanded once per arc of the call, over all of its nodes:
     the Gauss-sum tables are per k, so the arcs of a level go one by one.
 
-    Pointwise errors are amplified by exp(2 pi n / N^2) in the contour sum,
-    so callers working at small N should raise nu_terms (see
-    ``nu_terms_for``).
+    ``nu_terms`` is ignored (the window has no shifted-pair truncation); it
+    is kept for existing callers and will be deleted (ROADMAP item 8).
     """
     def factor(a, in_J, h, k, z):
         return np.array([
-            theta_eval_transformed(r, M, a, hi, ki, zi) if in_J
-            else false_theta_eval_transformed(r, M, a, hi, ki, zi,
-                                              nu_terms=nu_terms)
+            (theta_eval_transformed if in_J else false_theta_eval_transformed)(
+                r, M, a, hi, ki, zi)
             for hi, ki, zi in zip(h[:, 0].tolist(), k[:, 0].tolist(), z)])
 
     return _product_evaluator(r, M, alpha, J, factor)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import numpy as np
 
@@ -302,8 +303,7 @@ def cmd_contour(args) -> int:
     else:
         if args.mode == "transformed":
             evaluator = circle.transformed_evaluator(
-                args.r, args.M, args.alpha, args.J,
-                nu_terms=circle.nu_terms_for(args.n))
+                args.r, args.M, args.alpha, args.J)
         else:
             evaluator = circle.series_evaluator(args.r, args.M, args.alpha, args.J)
         fj = series.f_J_series(args.r, args.M, args.alpha, args.J, args.n)
@@ -419,7 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of standard output closed early: point the descriptor
+        # at devnull so that the flush at exit cannot fail again, and exit
+        # with 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -211,8 +211,7 @@ def test_criterion_08_contour_reconstruction():
     for J in (series.FULL_J, frozenset({1, 2, 3})):
         fj = series.f_J_series(r, M, alpha, J, 20)
         for n in range(21):
-            ev = circle.transformed_evaluator(r, M, alpha, J,
-                                              nu_terms=circle.nu_terms_for(n))
+            ev = circle.transformed_evaluator(r, M, alpha, J)
             res = circle.coefficient_by_contour(
                 ev, n, circle.ContourConfig(n=n, mode="transformed", tol=1e-8))
             err = abs(res.value - float(fj.coeff(n)))

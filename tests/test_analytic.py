@@ -231,7 +231,7 @@ def test_transformed_array_matches_scalar_at_every_node():
     for r, M, aj, h, k, zs in _rule_points():
         for fn, in_J in ((an.theta_eval_transformed, True),
                          (an.false_theta_eval_transformed, False)):
-            got = an._transformed_sum(r, M, aj, h, k, zs, in_J, 24)
+            got = an._transformed_sum(r, M, aj, h, k, zs, in_J)
             assert got.shape == zs.shape
             for g, z in zip(got.tolist(), zs.tolist()):
                 want = fn(r, M, aj, h, k, z)
@@ -511,6 +511,106 @@ def test_window_entry_uses_oddness_of_the_nu_sum():
         # S_{-l} = -S_l: l = -1, ..., 1 - Mk against l = 1, ..., Mk - 1
         np.testing.assert_allclose(sums[:M * k - 1][::-1], -sums[M * k - 1:-1],
                                    rtol=1e-13, atol=1e-14)
+
+
+def _fourier_nu_sum(ell, M, aj, k, z):
+    """S_l through the window's Fourier/residue form: ``_window_sum`` of the
+    odd table that is 1 at l and -1 at -l (mod 2Mk), times pi/(2i)."""
+    table = np.zeros(2 * M * k, dtype=complex)
+    table[ell], table[-ell] = 1, -1
+    return an._window_sum(table, M, aj, k, np.asarray(z, dtype=complex)) * np.pi / 2j
+
+
+def test_fourier_nu_sum_matches_mpmath():
+    # the Fourier/residue S_l against the 30-digit Faddeeva sum, on arcs of
+    # orders N = 1, 2, 9 and 31 (N = 1 and 2 are where the amplification
+    # exp(2 pi n/N^2) of the contour is largest), at l = 1, Mk/2, Mk - 1
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for M, aj, k, N, frac in [(2, 1, 1, 1, 0.5), (6, 1, 1, 1, -0.9),
+                              (2, 1, 2, 2, 0.3), (3, 2, 1, 2, -0.7),
+                              (2, 1, 4, 9, 0.35), (4, 1, 9, 9, -0.6),
+                              (2, 1, 31, 31, 0.8), (6, 1, 1, 31, -0.2)]:
+        z = arc_z(k, N, frac)
+        for ell in sorted({1, max(1, M * k // 2), M * k - 1}):
+            ref = _nu_sum_reference(ell, M, aj, k, z)
+            got = complex(_fourier_nu_sum(ell, M, aj, k, z))
+            worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-12, worst
+
+
+def _wofz_window(r, M, aj, h, k, zs):
+    """The whole window [1 - Mk, -1] u [1, Mk] summed term by term over
+    ``nu_sum_batch`` (the Faddeeva route), at every node of zs."""
+    window = an.lattice_window(M * k)
+    sums = an.nu_sum_batch(window, M, aj, k, zs)
+    terms = an._gauss_terms(r, M, aj, h, k, np.array(window))
+    return 2j / np.pi * (an._by_node(terms, zs) * sums).sum(axis=0)
+
+
+def test_window_entry_matches_faddeeva_window():
+    # the criterion-5 grid (order 20, k <= 10, ends and centre) and every
+    # arc of the benchmark's transformed bands (M, n) = (2, 17), (3, 10),
+    # (4, 5) at the nodes of their first (16-point) rules
+    points = [(r, M, aj, arc.h, arc.k, an._arc_z(arc.k, 20, np.array(
+        [-float(arc.theta_left), 0.0, float(arc.theta_right)])))
+        for r, M, aj in checks.THETA_CONFIGS for arc in arcs(20)
+        if arc.k <= 10]
+    for r, M, n in ((1, 2, 17), (1, 3, 10), (3, 4, 5)):
+        N = math.isqrt(n)
+        for arc in arcs(N):
+            phi, _ = _arc_rule(np.array([-float(arc.theta_left),
+                                         float(arc.theta_right)]), 16)
+            points.append((r, M, 1, arc.h, arc.k, an._arc_z(arc.k, N, phi)))
+    assert len(points) == 4 * 32 + 5 + 4 + 3
+    worst = 0.0
+    for r, M, aj, h, k, zs in points:
+        want = _wofz_window(r, M, aj, h, k, zs)
+        got = an._window_entry(r, M, aj, h, k, zs)
+        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    assert worst <= 1e-12, worst
+
+
+def test_fourier_nu_sum_tends_to_cot_main_term():
+    # lemma 5.8: as z -> 0 the m-series of S_l tends to cot_main_term, with
+    # a relative distance linear in z; at these z the residue series is
+    # below exp(-100) of it
+    for M, aj, k in ((2, 1, 3), (4, 2, 5)):
+        dist = []
+        for eps in (1e-3, 1e-4, 1e-5):
+            z = eps * k * (1 - 0.3j)
+            dist.append(max(
+                abs(_fourier_nu_sum(ell, M, aj, k, z) - main) / abs(main)
+                for ell in range(1, M * k)
+                for main in [an.cot_main_term(ell, M, aj, k, z)]))
+        assert dist[1] < dist[0] / 8 and dist[2] < dist[1] / 8, dist
+        assert dist[2] < 2e-3, dist
+
+
+def test_window_series_blocks_within_chunk(monkeypatch):
+    # every exponential block of the window's two Gaussian series holds at
+    # most _PV_CHUNK entries, on a 2048-node rule and on more nodes than
+    # _PV_CHUNK; the values equal the calls node by node
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    for count in (2048, an._PV_CHUNK + 100):
+        zs = an._arc_z(5, 11, np.linspace(-0.01, 0.01, count))
+        for M in (2, 12):
+            sizes.clear()
+            monkeypatch.setattr(an.np, "exp", counted)
+            got = an._window_entry(1, M, 1, 2, 5, zs)
+            monkeypatch.undo()
+            assert sizes and max(sizes) <= an._PV_CHUNK, (count, M, max(sizes))
+            for i in (0, count // 2, count - 1):
+                one = an._window_entry(1, M, 1, 2, 5, zs[i])
+                assert abs(got[i] - one) <= 1e-14 * abs(one), (count, M, i)
 
 
 def test_nu_and_pv_batches_match_scalar_calls_by_column():

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from polytheta import analytic
 from polytheta.analytic import (_PV_CHUNK, _arc_z, _gauss_factor,
                                 _lattice_sum, _unit_phase)
 from polytheta.circle import (ContourConfig, _arc_rule, _arc_walk,
                               constant_evaluator, coefficient_by_contour,
                               error_exponent_fit, i_nu_contributions,
                               kloosterman_h_sum, nu_norm_cap_for,
-                              nu_terms_for, reconstruct_by_nu,
-                              series_evaluator, transformed_evaluator)
+                              reconstruct_by_nu, series_evaluator,
+                              transformed_evaluator)
 from polytheta.farey import arcs
 from polytheta.series import FULL_J, f_J_series
 
@@ -146,9 +147,8 @@ def test_contour_by_level_matches_arc_by_arc_loop():
              for n in (37, 102)]
     cases += [(series_evaluator(1, 2, (1, 1, 1, 1), frozenset({1, 2, 3})), n,
                None) for n in (400, 1000)]
-    cases.append((transformed_evaluator(1, 2, (1, 1, 1, 1), frozenset({2, 4}),
-                                        nu_terms=nu_terms_for(12)), 12,
-                  ContourConfig(n=12, mode="transformed", tol=1e-8)))
+    cases.append((transformed_evaluator(1, 2, (1, 1, 1, 1), frozenset({2, 4})),
+                  12, ContourConfig(n=12, mode="transformed", tol=1e-8)))
     for ev, n, config in cases:
         by_level, level_rules = _rules_recorded(ev)
         by_arc, arc_rules = _rules_recorded(ev)
@@ -195,8 +195,7 @@ def test_transformed_contour_matches_direct():
     for J in (FULL_J, frozenset({2, 4})):
         fj = f_J_series(r, M, alpha, J, 12)
         for n in (0, 2, 5, 12):
-            ev = transformed_evaluator(r, M, alpha, J,
-                                       nu_terms=nu_terms_for(n))
+            ev = transformed_evaluator(r, M, alpha, J)
             exact = float(fj.coeff(n))
             res = coefficient_by_contour(
                 ev, n, ContourConfig(n=n, mode="transformed", tol=1e-8))
@@ -208,11 +207,29 @@ def test_transformed_contour_at_n_100_matches_exact_and_direct():
     r, M, alpha, J, n = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3}), 100
     exact = float(f_J_series(r, M, alpha, J, n).coeff(n))
     res = coefficient_by_contour(
-        transformed_evaluator(r, M, alpha, J, nu_terms=nu_terms_for(n)), n,
+        transformed_evaluator(r, M, alpha, J), n,
         ContourConfig(n=n, mode="transformed", tol=1e-8))
     assert abs(res.value - exact) <= 1e-6
     direct = coefficient_by_contour(series_evaluator(r, M, alpha, J), n)
     assert abs(res.value - direct.value) <= 1e-6
+
+
+def test_contour_path_runs_without_faddeeva(monkeypatch):
+    # the off-J window is the Fourier/residue form: the transformed contour
+    # and the nu-decomposition run with both Faddeeva routes disabled
+    def refuse(*args, **kwargs):
+        raise AssertionError("Faddeeva route called")
+
+    monkeypatch.setattr(analytic, "pv_closed_form_batch", refuse)
+    monkeypatch.setattr(analytic, "nu_sum_batch", refuse)
+    r, M, alpha, J = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3})
+    fj = f_J_series(r, M, alpha, J, 100)
+    res = coefficient_by_contour(
+        transformed_evaluator(r, M, alpha, J), 100,
+        ContourConfig(n=100, mode="transformed", tol=1e-8))
+    assert abs(res.value - float(fj.coeff(100))) <= 1e-6
+    val, _ = reconstruct_by_nu(r, M, alpha, J, 4)
+    assert abs(val - float(fj.coeff(4))) <= 1e-6
 
 
 def test_transformed_contour_mixed_alpha():
@@ -222,7 +239,7 @@ def test_transformed_contour_mixed_alpha():
                               (1, 2, (1, 2, 1, 2), frozenset({1, 2}), 30)]:
         exact = float(f_J_series(r, M, alpha, J, n).coeff(n))
         res = coefficient_by_contour(
-            transformed_evaluator(r, M, alpha, J, nu_terms=nu_terms_for(n)), n,
+            transformed_evaluator(r, M, alpha, J), n,
             ContourConfig(n=n, mode="transformed", tol=1e-8))
         assert abs(res.value - exact) <= 1e-6, (alpha, sorted(J))
 

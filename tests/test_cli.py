@@ -213,8 +213,9 @@ def test_contour_transformed(capsys):
 
 
 def test_contour_transformed_at_one_arc(capsys):
-    # n = 3 has N = 1: the one arc's error is amplified by exp(6 pi), so the
-    # evaluator needs the nu-sum length of nu_terms_for(3), as elsewhere
+    # n = 3 has N = 1: the one arc's error is amplified by exp(6 pi), and
+    # the principal-value window, summed to its Gaussian tails, still meets
+    # 1e-6
     code, out = run_cli(capsys, "contour", "--r", "1", "--M", "2",
                         "--alpha", "1,1,1,1", "--J", "1,2,3",
                         "--n", "3", "--mode", "transformed",
@@ -310,3 +311,20 @@ def test_grid_dump_lemma5_1(capsys):
     lines = out.strip().splitlines()
     worst = max(float(line.rsplit(",", 1)[1]) for line in lines[1:])
     assert worst < 1e-6
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes 100 bytes of about 130 kB and closes its end: the
+    # next write fails with EPIPE, and the CLI exits without a traceback
+    src = str(Path(polytheta.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polytheta.cli", "farey", "--N", "50",
+         "--format", "json"], cwd=src, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert head.startswith(b"{")
+    assert err == b""
+    assert proc.returncode == 1
