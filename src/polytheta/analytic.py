@@ -13,14 +13,15 @@ Conventions shared by everything below:
 
 The theta sums are evaluated in two ways, each by one kernel:
 
-* direct summation (the two ``*_direct_arc`` evaluators) runs through
-  ``_lattice_sum`` for both sum types.  It takes a scalar z (as a one-node
-  array) or an array of them (the contour passes a level's arcs as rows of
-  rule nodes, with h and k as integer columns), takes one tail cutoff up
-  front from the smallest decay, builds the nu of the walk as one integer
-  array with its phases reduced exactly in integers (a terms x arcs
-  table), and exponentiates (terms x entries) blocks of at most
-  ``_PV_CHUNK`` entries, which it accumulates in walk order;
+* direct summation runs through ``_lattice_sum``, one walk that gives the
+  two-sided and the sign-weighted sum together (the two ``*_direct_arc``
+  evaluators each pick one; the contour's direct evaluator takes both for
+  one alpha_j).  It takes a scalar z (as a one-node array) or an array of
+  them (the contour passes a level's arcs as rows of rule nodes, with h
+  and k as integer columns), takes one tail cutoff up front from the
+  smallest decay, reduces the phases of the walk exactly in integers (a
+  terms x arcs table), and advances q^(nu^2) by its second-difference
+  recurrence, two whole-array multiplies a term, in O(entries) memory;
 * the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
   factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
   transformed evaluators sum it over nu; the circle-method nu-decomposition
@@ -170,15 +171,6 @@ def _unit_phase(num, den):
 # direct summation of the defining series
 # ---------------------------------------------------------------------------
 
-# entries per array block of the node-wise sums: (term, node) per exponential
-# block of ``_lattice_sum`` and ``_gauss_series``, and (window index, shifted
-# pair, node) per Faddeeva call of ``nu_sum_batch``; the block is cut along
-# terms or nodes to at most this many entries (in ``_lattice_sum`` and
-# ``nu_sum_batch``, one term or node at a time where the other axis alone is
-# larger)
-_PV_CHUNK = 8192
-
-
 def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
     """The first integer nu >= floor at which exp(-decay nu^2) is below tol;
     past 10^7 (or with no decay) the sum is refused before any term."""
@@ -189,71 +181,80 @@ def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
 
 
 def _lattice_sum(r: int, M: int, scale: int, h, k, z: np.ndarray,
-                 signed: bool, tol: float) -> np.ndarray:
-    """Sum over nu = r mod M of sgn(nu)^signed e(scale nu^2 h/(2 M k))
-    exp(-2 pi scale nu^2 z/(2 M k)), i.e. the exponents nu^2/(2M) at
-    tau = (h + i z)/k with the rational part of every phase reduced exactly
-    in integers, at every entry of a complex array z of one or more axes.
-    h and k are ints or integer arrays that broadcast against z: a level of
-    the contour passes one arc per row, h and k as (A, 1) columns against
-    the (A, 2m) nodes.
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two-sided sum and the sign-weighted sum over nu = r mod M of
+    sgn(nu)^s e(scale nu^2 h/(2 M k)) exp(-2 pi scale nu^2 z/(2 M k)), s = 0
+    and 1, i.e. the exponents nu^2/(2M) at tau = (h + i z)/k with the
+    rational part of every phase reduced exactly in integers, at every entry
+    of a complex array z (Re z > 0, checked) of one or more axes; two arrays
+    of z's shape.  h and k are ints or integer arrays that broadcast against
+    z: a level of the contour passes one arc per row, h and k as (A, 1)
+    columns against the (A, 2m) nodes.
 
-    The terms are taken outward from the class representative in both
-    directions, r, r+M, ... and then r-M, r-2M, ..., each walk up to and
-    including the first |nu| >= cut, where cut > M is the first nu whose
-    damping is below tol at the smallest decay over all entries (so every
-    entry gets at least its own tail); the cutoff is taken before any term
-    is summed.  One cutoff and one walk serve every row: on the order-N arcs
+    One walk serves both sums: they share every term and differ only in
+    sgn(nu).  It goes outward from the class in both directions at once,
+    |nu| = a + M j for j = 0, 1, ..., with a = r (nu > 0) and a = M - r
+    (nu < 0); for r = 0 the nu = 0 term, 1, is taken apart and the upward
+    direction starts at a = M.  Each direction runs up to and including the
+    first |nu| >= cut, where cut > M is the first nu whose damping is below
+    tol at the smallest decay over all entries (so every entry gets at
+    least its own tail); the cutoff is taken before any term is summed.
+    One cutoff and one walk serve every row: on the order-N arcs
     z = k (1/N^2 - i Phi), so the exponent is -pi scale nu^2 (1/N^2 - i Phi)/M
     and its decay pi scale/(M N^2) is the same on every arc; only the exact
-    phase depends on the arc, as a (terms x arcs) table.  The terms go in
-    chunks of walk positions, each one (terms x entries) block of at most
-    ``_PV_CHUNK`` entries (one term at a time where the entries alone are
-    more), so memory does not grow with the cutoff; the blocks are
-    accumulated in walk order onto the running total, so each entry's value
-    is the term-by-term sum, whatever the number of rows, nodes or chunks.
-    The sign-weighted sums of the classes r and -r cancel term by term in
-    this order; a reordered (pairwise) summation, which is what numpy's sum
-    over a single column does, loses that to roundoff.
+    phase depends on the arc, as a (terms x arcs) table.
+
+    q^(nu^2) = exp(nu^2 x), x = -2 pi scale z/(2 M k), follows its
+    second-difference recurrence along each direction: three exponentials
+    (the first term, the first ratio exp((2 a M + M^2) x) and the lift
+    exp(2 M^2 x)) seed it, and each further term is two whole-array
+    multiplies, so the result of every entry does not depend on how many
+    rows or nodes share the call, and memory is O(entries).  Each direction
+    has its own accumulator in walk order; the sums are then up + down and
+    up - down.  The sign-weighted sums of the classes r and -r are exact
+    negatives of each other, and at r = M/2 the sign-weighted sum is exactly
+    0, because the two directions run the same arithmetic.
     """
+    if not np.all(z.real > 0):
+        raise ValueError(f"need Re z > 0, got z={z}")
     r %= M
     den = 2 * M * k
-    c = -2 * math.pi * scale / den
-    cut = _gaussian_cutoff(float(np.min(-c * z.real)), tol, M + 1)
-    # walk positions p: nu = r + M p for p < up, then r - M (p - up + 1);
-    # the sign-weighted sums have no nu = 0 term
-    up = len(range(r, cut + M, M))
-    size = up + len(range(r - M, -cut - M, -M))
-    per = max(1, _PV_CHUNK // z.size)
-    total = np.zeros(z.shape, dtype=complex)
-    for i in range(1 if signed and r == 0 else 0, size, per):
-        p = np.arange(i, min(i + per, size))
-        # nu on the leading axis, ahead of z's axes
-        nu = np.where(p < up, r + M * p, r - M * (p - up + 1)).reshape(
-            (-1,) + (1,) * z.ndim)
-        res = nu % den
-        coef = np.exp((1j * (2 * np.pi / den))
-                      * ((scale * h) % den * (res * res % den) % den))
-        if signed:
-            coef[nu.ravel() < 0] *= -1
-        block = (c * nu * nu) * z
-        np.exp(block, out=block)
-        block *= coef
-        block[0] += total
-        np.add.accumulate(block, axis=0, out=block)
-        total = block[-1]
-    return total
+    x = (-2 * math.pi * scale / den) * z
+    cut = _gaussian_cutoff(float(np.min(-x.real)), tol, M + 1)
+    starts = (r or M, M - r)
+    # the two directions on a leading axis, ahead of z's axes
+    a = np.array(starts).reshape((2,) + (1,) * z.ndim)
+    steps = max(len(range(b, cut + M, M)) for b in starts)
+    nu = a + M * np.arange(steps).reshape((-1,) + (1,) * a.ndim)
+    res = nu % den
+    phase = np.exp((1j * (2 * np.pi / den))
+                   * ((scale * h) % den * (res * res % den) % den))
+    # a direction one step shorter than the other gets a zero phase last
+    phase = np.where(nu - M < cut, phase, 0)
+    term = np.exp((a * a) * x)
+    ratio = np.exp((2 * M * a + M * M) * x)
+    lift = np.exp((2 * M * M) * x)
+    acc = np.zeros(term.shape, dtype=complex)
+    tmp = np.empty_like(term)
+    for i, ph in enumerate(phase):
+        if i:
+            np.multiply(term, ratio, out=term)
+            np.multiply(ratio, lift, out=ratio)
+        np.multiply(term, ph, out=tmp)
+        np.add(acc, tmp, out=acc)
+    up, down = acc
+    two_sided = up + down
+    if r == 0:
+        two_sided += 1
+    return two_sided, up - down
 
 
-def _direct(r: int, M: int, scale: int, h, k, z, signed: bool, tol: float):
-    """``_lattice_sum`` at a scalar z (returns a complex, summed as a
-    one-node array) or an array of z (returns an array of the same shape),
-    after checking Re z > 0."""
+def _direct(r: int, M: int, scale: int, h, k, z, tol: float):
+    """Both sums of ``_lattice_sum`` at a scalar z (two complexes, summed as
+    a one-node array) or an array of z (two arrays of the same shape)."""
     za = np.asarray(z, dtype=complex)
-    if not np.all(za.real > 0):
-        raise ValueError(f"need Re z > 0, got z={z}")
-    out = _lattice_sum(r, M, scale, h, k, np.atleast_1d(za), signed, tol)
-    return complex(out[0]) if za.ndim == 0 else out
+    pair = _lattice_sum(r, M, scale, h, k, np.atleast_1d(za), tol)
+    return tuple(complex(s[0]) for s in pair) if za.ndim == 0 else pair
 
 
 def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
@@ -265,7 +266,7 @@ def theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
     value each); h and k are ints, or integer arrays that broadcast
     against z (one arc per row).  h = 0, k = 1, z = -i tau gives the sum at
     a plain upper-half-plane point tau."""
-    return _direct(r, M, scale, h, k, z, False, tol)
+    return _direct(r, M, scale, h, k, z, tol)[0]
 
 
 def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
@@ -274,7 +275,7 @@ def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
     argument scale * tau, tau = (h + i z)/k, by direct summation with exact
     phase reduction; z and h = 0, k = 1, z = -i tau as for the two-sided
     sum."""
-    return _direct(r, 2 * M, scale, h, k, z, True, tol)
+    return _direct(r, 2 * M, scale, h, k, z, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +319,13 @@ def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z,
         f[0] = _window_entry(r, M, alpha_j, h, k, z)
     return f
 
+
+# entries per array block of the node-wise series: (term, node) per
+# exponential block of ``_gauss_series``, and (window index, shifted pair,
+# node) per Faddeeva call of ``nu_sum_batch``; the block is cut along terms or
+# nodes to at most this many entries (in ``nu_sum_batch``, one node at a time
+# where the other axes alone are larger)
+_PV_CHUNK = 8192
 
 # relative size of the first dropped term of every Gaussian series of the
 # transformed route (its nu-sum and both series of the window)

@@ -7,12 +7,13 @@ dissected along the order-N Farey arcs.  Evaluators receive (h, k, z) so both
 the direct-summation route and the Gauss-sum transformed route can reduce
 rational phases exactly; h and k are (A, 1) integer columns of a level's
 arcs and z the (A, 2m) array of their rule nodes, one arc per row, and the
-evaluator returns the series values there as an array of z's shape.  Both
-the direct (``series_evaluator``) and the transformed
-(``transformed_evaluator``) evaluators compute each distinct
-(alpha_j, j in J) factor once per call: the direct one over all rows at
-once (one lattice sum per level and factor), the transformed one arc by
-arc, because its Gauss-sum tables are per k.
+evaluator returns the series values there as an array of z's shape.  The
+direct evaluator (``series_evaluator``) makes one lattice walk per distinct
+alpha_j and call, over all rows at once, which gives both the theta factor
+(j in J) and the sign-weighted factor (j not in J) of that alpha_j; the
+transformed one (``transformed_evaluator``) expands each distinct
+(alpha_j, j in J) factor arc by arc, because its Gauss-sum tables are per
+k.
 
 Both drivers walk the arcs in (k, h) order with m-point Gauss-Legendre rules
 on [-theta_left, 0] and [0, theta_right], split where the integrand peaks
@@ -22,6 +23,7 @@ stopped, and each arc stops once two of its rules agree to its share of the
 tolerance, stop converging (the evaluator's roundoff floor, once m has a
 few nodes per period of e(-n phi) on the wider side) or reach m = 1024;
 ``quad_error`` sums exp(2 pi n/N^2) times each arc's last difference.  The
+rules are built here (``_legendre``), so the contour loads no scipy.  The
 nu-decomposition takes m = 24 and contracts its per-arc nu-sum tables over
 the nodes (``_nu_contraction``).
 """
@@ -35,10 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (_arc_z, _gauss_factor, _unit_phase,
-                       false_theta_eval_direct_arc,
-                       false_theta_eval_transformed, theta_eval_direct_arc,
-                       theta_eval_transformed)
+from .analytic import (_arc_z, _gauss_factor, _lattice_sum, _unit_phase,
+                       false_theta_eval_transformed, theta_eval_transformed)
 from .arith import gauss_sum_table
 from .farey import arcs, rho_congruence
 from .series import FULL_J
@@ -88,12 +88,34 @@ class ContourResult:
     quad_error: float
 
 
+def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_m(x) and P_{m-1}(x) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for j in range(2, m + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, prev
+
+
 @lru_cache(maxsize=None)
 def _legendre(m: int) -> np.ndarray:
-    """Nodes and weights (rows) of the m-point Gauss-Legendre rule on [0, 1]."""
-    from scipy.special import roots_legendre
+    """Nodes and weights (rows) of the m-point Gauss-Legendre rule on [0, 1].
 
-    rule = (np.array(roots_legendre(m)) + [[1.0], [0.0]]) / 2
+    The nodes are x = cos(theta), by Newton's method in theta on P_m from
+    theta = pi (i - 1/4)/(m + 1/2), with dP_m/dtheta = m (x P_m - P_{m-1})/
+    sin(theta); the weights are 2/(sin(theta) P_m'(x))^2 at the converged
+    nodes, P_m' with its x P_m term, which keeps them accurate to the
+    roundoff of the recurrence out to the ends of the interval."""
+    theta = np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5)
+    step = np.ones(m)
+    while np.max(np.abs(step)) >= 1e-13:
+        x = np.cos(theta)
+        p, p_prev = _legendre_pair(m, x)
+        step = p * np.sin(theta) / (m * (x * p - p_prev))
+        theta -= step
+    x = np.cos(theta)
+    p, p_prev = _legendre_pair(m, x)
+    weights = 2 * (np.sin(theta) / (m * (x * p - p_prev))) ** 2
+    rule = np.array([(x + 1) / 2, weights / 2])
     rule.flags.writeable = False
     return rule
 
@@ -198,18 +220,19 @@ def _prefactor(r: int, M: int, alpha_sum: int, h, k, z):
 
 
 def _product_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
-                       J: frozenset[int] | set[int], factor) -> ArcEvaluator:
-    """The J-indexed product: the prefactor times factor(alpha_j, j in J,
-    h, k, z) over the four coordinates, each distinct (alpha_j, j in J)
-    factor evaluated once per call, over all of a level's z."""
+                       J: frozenset[int] | set[int], factors) -> ArcEvaluator:
+    """The J-indexed product: the prefactor times the factors of the four
+    coordinates, factors(keys, h, k, z) giving a dict from each distinct
+    (alpha_j, j in J) key to its factor over all of a level's z."""
     J = frozenset(J)
     coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
+    keys = set(coords)
 
     def f(h: np.ndarray, k: np.ndarray, z: np.ndarray) -> np.ndarray:
-        factors = {c: factor(*c, h, k, z) for c in set(coords)}
+        table = factors(keys, h, k, z)
         out = _prefactor(r, M, sum(alpha), h, k, z)
         for c in coords:
-            out *= factors[c]
+            out *= table[c]
         return out
 
     return f
@@ -220,14 +243,17 @@ def series_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     """Direct-summation evaluator of the J-indexed product series.
 
     Each factor is the defining one-dimensional sum with a certified Gaussian
-    tail; no modular transformation is involved.  Each distinct
-    (alpha_j, j in J) factor is one lattice sum per call, over every arc
-    and node of the level.
+    tail; no modular transformation is involved.  The theta factor (j in J)
+    and the sign-weighted factor (j not in J) of one alpha_j share every
+    term, so each distinct alpha_j is one lattice walk per call, over every
+    arc and node of the level, that gives both.
     """
-    return _product_evaluator(
-        r, M, alpha, J,
-        lambda a, in_J, h, k, z: theta_eval_direct_arc(r, 2 * M, 2 * a, h, k, z)
-        if in_J else false_theta_eval_direct_arc(r, M, 2 * a, h, k, z))
+    def factors(keys, h, k, z):
+        sums = {a: _lattice_sum(r, 2 * M, 2 * a, h, k, z, 1e-16)
+                for a in {a for a, _ in keys}}
+        return {(a, in_J): sums[a][0 if in_J else 1] for a, in_J in keys}
+
+    return _product_evaluator(r, M, alpha, J, factors)
 
 
 def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -243,13 +269,14 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     ``nu_terms`` is ignored (the window has no shifted-pair truncation); it
     is kept for existing callers and will be deleted (ROADMAP item 8).
     """
-    def factor(a, in_J, h, k, z):
-        return np.array([
+    def factors(keys, h, k, z):
+        rows = list(zip(h[:, 0].tolist(), k[:, 0].tolist(), z))
+        return {(a, in_J): np.array([
             (theta_eval_transformed if in_J else false_theta_eval_transformed)(
-                r, M, a, hi, ki, zi)
-            for hi, ki, zi in zip(h[:, 0].tolist(), k[:, 0].tolist(), z)])
+                r, M, a, hi, ki, zi) for hi, ki, zi in rows])
+            for a, in_J in keys}
 
-    return _product_evaluator(r, M, alpha, J, factor)
+    return _product_evaluator(r, M, alpha, J, factors)
 
 
 # ---------------------------------------------------------------------------

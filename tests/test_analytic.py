@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -94,6 +95,36 @@ def _criterion5_direct_points():
                    (r, M, 2 * aj, arc.h, arc.k), zs)
 
 
+def _long_walk_points():
+    """(evaluator, modulus, signed, args, zs) of both direct evaluators for
+    the longest walks the contour makes: the hexagonal class r = 6 at
+    modulus 8 and scale 2 on the order-63 arc at 0/1 (index 3984), zs its
+    ends, centre and 16-point rule nodes; about 55 terms a direction."""
+    arc = next(a for a in arcs(63) if a.k == 1)
+    sides = np.array([-float(arc.theta_left), float(arc.theta_right)])
+    zs = an._arc_z(1, 63, np.concatenate(
+        [sides, [0.0], _arc_rule(sides, 16)[0]]))
+    yield an.theta_eval_direct_arc, 8, False, (6, 8, 2, arc.h, 1), zs
+    yield an.false_theta_eval_direct_arc, 8, True, (6, 4, 2, arc.h, 1), zs
+
+
+def _edge_class_points():
+    """(evaluator, modulus, signed, args, zs) of both direct evaluators for
+    the classes whose walk differs: r = 0, which has the nu = 0 term, and
+    r = M/2, whose two directions run the same |nu|, at modulus 4 on the
+    order-20 arcs with k <= 3 (ends and centre)."""
+    for r in (0, 2):
+        for arc in arcs(20):
+            if arc.k > 3:
+                continue
+            zs = an._arc_z(arc.k, 20, np.array(
+                [-float(arc.theta_left), 0.0, float(arc.theta_right)]))
+            yield (an.theta_eval_direct_arc, 4, False,
+                   (r, 4, 2, arc.h, arc.k), zs)
+            yield (an.false_theta_eval_direct_arc, 4, True,
+                   (r, 2, 2, arc.h, arc.k), zs)
+
+
 def test_direct_evaluators_match_mpmath_oracle():
     # the defining sums at 40 digits, summed independently of _lattice_sum:
     # q^(nu^2) by the recurrence of its ratios along each direction, the
@@ -120,12 +151,23 @@ def test_direct_evaluators_match_mpmath_oracle():
         return complex(total)
 
     worst = 0.0
-    for fn, mod, signed, (r, m_arg, scale, h, k), zs in _criterion5_direct_points():
+    points = itertools.chain(_criterion5_direct_points(), _long_walk_points(),
+                             _edge_class_points())
+    for fn, mod, signed, (r, m_arg, scale, h, k), zs in points:
         for z in zs.tolist():
             ref = reference(r, mod, signed, scale, h, k, z)
             got = fn(r, m_arg, scale, h, k, z)
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-13, worst
+
+
+def test_lattice_sum_pair_equals_direct_evaluators():
+    # one walk gives both sums: each is its public evaluator's value bit
+    # for bit (the theta factor at modulus 2M, the sign-weighted at M)
+    for fn, mod, signed, (r, m_arg, scale, h, k), zs in (
+            _criterion5_direct_points()):
+        pair = an._lattice_sum(r, mod, scale, h, k, zs, 1e-16)
+        assert np.array_equal(pair[signed], fn(r, m_arg, scale, h, k, zs))
 
 
 def test_direct_array_call_matches_scalar_calls():

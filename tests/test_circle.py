@@ -1,13 +1,19 @@
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polytheta
 from polytheta import analytic
-from polytheta.analytic import (_PV_CHUNK, _arc_z, _gauss_factor,
-                                _lattice_sum, _unit_phase)
-from polytheta.circle import (ContourConfig, _arc_rule, _arc_walk,
+from polytheta.analytic import (_arc_z, _gauss_factor, _lattice_sum,
+                                _unit_phase)
+from polytheta.arith import divisor_sigma
+from polytheta.circle import (ContourConfig, _arc_rule, _arc_walk, _legendre,
                               constant_evaluator, coefficient_by_contour,
                               error_exponent_fit, i_nu_contributions,
                               kloosterman_h_sum, nu_norm_cap_for,
@@ -69,6 +75,68 @@ def test_direct_contour_mixed_J():
     res = coefficient_by_contour(ev, 1000)
     assert abs(res.value - float(f_J_series(r, M, alpha, J, 1000).coeff(1000))) <= 1e-6
     assert res.quad_error <= 1e-6
+
+
+def test_direct_contour_at_index_3984():
+    # the longest direct walks: hexagonal (r, M) = (6, 4) at N = 63, 1228
+    # arcs; the full-J coefficient is sigma(2001) = 2880
+    r, M, alpha, n = 6, 4, (1, 1, 1, 1), 3984
+    J = frozenset({1, 2, 3})
+    for J_, exact in ((FULL_J, divisor_sigma(2001)),
+                      (J, f_J_series(r, M, alpha, J, n).coeff(n))):
+        res = coefficient_by_contour(series_evaluator(r, M, alpha, J_), n)
+        assert abs(res.value - float(exact)) <= 1e-6, sorted(J_)
+    assert divisor_sigma(2001) == 2880
+
+
+def test_legendre_rule_matches_scipy_and_mpmath():
+    # scipy's roots_legendre is the oracle of the nodes; its own weights
+    # are off by up to 1.8e-9 relative at the ends for m >= 512, so there
+    # the weights are held to 40-digit Newton roots of the recurrence
+    special = pytest.importorskip("scipy.special")
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def end_weight(m):
+        x = mpmath.mpf(-1) + mpmath.mpf(_legendre(m)[0][0]) * 2
+        for _ in range(8):
+            prev, cur = mpmath.mpf(1), x
+            for j in range(2, m + 1):
+                prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+            deriv = m * (x * cur - prev) / (x * x - 1)
+            x -= cur / deriv
+        return 1 / ((1 - x * x) * deriv * deriv)
+
+    # the contour's rule sizes and the nu-decomposition's 24
+    for m in (16, 24, 32, 64, 128, 256, 512, 1024):
+        x, w = _legendre(m)
+        X, W = special.roots_legendre(m)
+        assert np.max(np.abs(x - (X + 1) / 2)) <= 3e-16, m
+        assert np.max(np.abs(2 * w / W - 1)) <= 1e-8, m
+        assert abs(w.sum() - 1) <= 1e-15, m
+        if m in (16, 512, 1024):
+            assert abs(w[0] / float(end_weight(m)) - 1) <= 1e-11, m
+
+
+def test_contour_path_loads_no_scipy():
+    # the Gauss-Legendre rules are built without scipy, so the direct and
+    # transformed contours and the nu-decomposition run without it
+    src = str(Path(polytheta.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import sys
+        from polytheta import circle
+        alpha, J = (1, 1, 1, 1), {1, 2, 3}
+        circle.coefficient_by_contour(
+            circle.series_evaluator(1, 2, alpha, J), 100)
+        circle.coefficient_by_contour(
+            circle.transformed_evaluator(1, 2, alpha, J), 12,
+            circle.ContourConfig(n=12, mode="transformed", tol=1e-8))
+        circle.reconstruct_by_nu(1, 2, alpha, J, 4)
+        sys.exit(any(m.split(".")[0] == "scipy" for m in sys.modules))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
 def test_contour_rule_splits_at_the_cusp_and_stops_at_the_cap():
@@ -160,23 +228,24 @@ def test_contour_by_level_matches_arc_by_arc_loop():
 
 
 def test_lattice_sum_batched_rows_equal_single_arc_calls():
-    # one call over a level's rows gives each node the value of the call
-    # for its arc alone, bit for bit; N = 11 with 64 nodes a side stays
-    # under _PV_CHUNK entries, N = 30 with 128 a side goes past it
+    # one call over a level's rows gives each node both sums of the call
+    # for its arc alone, bit for bit, at the class's modulus M (as the
+    # two-sided factor) and 2M (as the sign-weighted one); N = 30 with 64
+    # nodes a side is 278 rows of 128 nodes
     for N, m in ((11, 16), (30, 64)):
         h, k, sides = _arc_walk(N)
         phi, _ = _arc_rule(sides, m)
         z = _arc_z(k, N, phi)
         for M, r, scale in ((2, 1, 2), (3, 2, 4), (6, 5, 2)):
-            for signed in (False, True):
-                mod = 2 * M if signed else M
-                rows = _lattice_sum(r, mod, scale, h, k, z, signed, 1e-16)
+            for mod in (M, 2 * M):
+                rows = _lattice_sum(r, mod, scale, h, k, z, 1e-16)
                 for i, (hi, ki) in enumerate(zip(h[:, 0].tolist(),
                                                  k[:, 0].tolist())):
-                    one = _lattice_sum(r, mod, scale, hi, ki, z[i], signed,
-                                       1e-16)
-                    assert np.array_equal(rows[i], one), (N, M, signed, hi, ki)
-    assert z.size > _PV_CHUNK
+                    one = _lattice_sum(r, mod, scale, hi, ki, z[i], 1e-16)
+                    for s in (0, 1):
+                        assert np.array_equal(rows[s][i], one[s]), (
+                            N, mod, s, hi, ki)
+    assert z.shape == (278, 128)
 
 
 def test_arc_walk_columns_equal_exact_arcs():
