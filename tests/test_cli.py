@@ -72,6 +72,30 @@ def test_count_domain_builds_only_the_printed_table(capsys, monkeypatch):
     assert rows[1]["r"] == 4
 
 
+def test_count_square_columns_equal_per_index_image_counts(capsys, monkeypatch):
+    # s and s_star are read off r and r_star through the completed-square
+    # map; the per-index counter at the image point is the independent check
+    from polytheta import counting
+
+    def refuse(*args):
+        raise AssertionError("squares table built for columns read off r")
+
+    monkeypatch.setattr(counting, "squares_count_table", refuse)
+    for m, alpha in [(5, "2,1,1,1"), (6, "1,1,1,1"), (8, "3,1,2,1")]:
+        code, out = run_cli(capsys, "count", "--m", str(m), "--alpha", alpha,
+                            "--n", "0..60", "--format", "json")
+        assert code == 0
+        inst = counting.PolygonalInstance(
+            m=m, alpha=tuple(int(a) for a in alpha.split(",")))
+        bounded, stride, offset = counting._square_image(inst, NON_NEGATIVE)
+        free, _, _ = counting._square_image(inst, counting.ALL_INTEGERS)
+        rows = json.loads(out)["rows"]
+        for n in (0, 1, 7, 23, 60):
+            image = stride * n + offset
+            assert rows[n]["s"] == counting.count_squares(bounded, image), (m, n)
+            assert rows[n]["s_star"] == counting.count_squares(free, image), (m, n)
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--n", "5..2"],
     ["count", "--n", "-3"],

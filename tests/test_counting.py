@@ -1,4 +1,5 @@
 import itertools
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def brute_polygonal(m, alpha, n, lower):
     vals = range(lo, bound + 1)
     return sum(1 for t in itertools.product(vals, repeat=4)
                if sum(a * polygonal_number(m, x) for a, x in zip(alpha, t)) == n)
+
+
+def brute_squares(r, M, alpha, lower, nmax):
+    """Blind four-fold loop: the number of x in Z^4 with every x_j = r (mod M)
+    and x_j >= lower (if set) and sum_j alpha_j x_j^2 = n, for each n <= nmax."""
+    b = isqrt(nmax)
+    xs = [x for x in range(-b, b + 1)
+          if (x - r) % M == 0 and (lower is None or x >= lower)]
+    counts = [0] * (nmax + 1)
+    for t in itertools.product(xs, repeat=4):
+        v = sum(a * x * x for a, x in zip(alpha, t))
+        if v <= nmax:
+            counts[v] += 1
+    return counts
 
 
 def test_polygonal_number_values():
@@ -77,6 +92,17 @@ def test_count_polygonal_matches_blind_bruteforce():
         for n in range(25):
             assert count_polygonal(inst, n, dom) == brute_polygonal(
                 m, inst.alpha, n, lower), (m, alpha, lower, n)
+
+
+def test_count_squares_matches_blind_bruteforce():
+    # unsorted alpha and negative residues, raw as the loop sees them
+    alphas = [(1, 3, 2, 1), (2, 1, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2), (1, 2, 1, 1)]
+    cases = itertools.product((1, 2, 3, 5, 8), (None, -3, 0, 1, 2))
+    for i, (M, lower) in enumerate(cases):
+        r, alpha = -1 - i % 4, alphas[i % len(alphas)]
+        inst = CongruenceInstance(r=r, M=M, alpha=alpha, lower_bound=lower)
+        got = [count_squares(inst, n) for n in range(81)]
+        assert got == brute_squares(r, M, alpha, lower, 80), (r, M, alpha, lower)
 
 
 def test_domain_monotonicity():
@@ -181,6 +207,21 @@ def test_table_matches_counter_and_ignores_alpha_order(case, data):
     inst = PolygonalInstance(m=m, alpha=tuple(data.draw(st.permutations(alpha))))
     assert tab.tolist() == [count_polygonal(inst, n, dom) for n in range(nmax + 1)]
     assert np.array_equal(polygonal_count_table(inst, nmax, dom), tab)
+
+
+small_congruence = st.tuples(
+    st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 6, 8]),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.sampled_from([None, -3, -1, 0, 1, 2]), st.integers(0, 200))
+
+
+@given(small_congruence)
+@settings(max_examples=40, deadline=None)
+def test_squares_counter_matches_table(case):
+    r, M, alpha, lower, nmax = case
+    inst = CongruenceInstance(r=r, M=M, alpha=tuple(alpha), lower_bound=lower)
+    tab = squares_count_table(inst, nmax)
+    assert tab.tolist() == [count_squares(inst, n) for n in range(nmax + 1)]
 
 
 def test_zero_one_gap_exponent():
