@@ -169,8 +169,7 @@ def _run_spot_checks(which: str, table, nmax: int, count: int, seed: int) -> dic
     """Re-derive a deterministic sample of table entries with the per-index
     counter."""
     rng = np.random.default_rng(seed)
-    upper = min(nmax, 4000)  # per-index counting stays cheap up to here
-    ns = sorted(int(n) for n in rng.integers(0, upper + 1, size=count))
+    ns = sorted(int(n) for n in rng.integers(0, nmax + 1, size=count))
     mismatches = [n for n in ns if _spot_check_one(which, n) != int(table[n])]
     return {"samples": len(ns), "mismatches": mismatches}
 

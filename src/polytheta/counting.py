@@ -7,21 +7,21 @@ a domain into a weighted sum of four squares in the class -(m-4) mod 2(m-2)
 above the image of the domain's lower bound.  One enumerator and one
 counting loop then serve both kinds of count, in two evaluation styles:
 
-* per-index counters (``count_polygonal``, ``count_squares``) that enumerate
-  the coordinates of the three largest weights and read the fourth off a
-  dict of its class values -- these are the brute-force oracles;
+* per-index counters (``count_polygonal``, ``count_squares``) that meet in
+  the middle: the pair sums of two weights' class values are sorted, and
+  each remainder left by a pair sum of the other two weights is counted by
+  binary search -- these are the independent oracles;
 * batch tables (``polygonal_count_table``, ``squares_count_table``) that
   convolve the four one-variable generating arrays with numpy int64
   arithmetic -- exact, and fast enough for sweeps to 10^5 and beyond.  A
   polygonal table reads its image's squares on the stride 8(m-2), so it
   stays nmax + 1 entries long.
 
-All counts are plain Python ints / int64 arrays; the batch tables guard
-against int64 overflow explicitly.
+All counts are plain Python ints / int64 arrays; both styles guard against
+int64 overflow explicitly.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 
@@ -43,10 +43,11 @@ __all__ = [
 ]
 
 _INT64_GUARD = 2**62
+_SEARCH_BLOCK = 2**16  # sums per binary-search block of _count_at
 
 
 class OverflowGuardError(OverflowError):
-    """Raised when a batch count would leave the checked int64 range."""
+    """Raised when a count would leave the checked int64 range."""
 
 
 @dataclass(frozen=True)
@@ -176,31 +177,43 @@ def _class_values(r: int, M: int, alpha_j: int, limit: int,
     return sorted(alpha_j * x * x for x in range(start, xmax + 1, M))
 
 
-def _count_at(inst: CongruenceInstance, n: int) -> int:
-    """Enumerate three coordinates and read the fourth off its class values.
+def _pair_sums(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """Every v + w <= n with v in ``first`` and w in ``second``, one entry per
+    pair, as int64."""
+    sums = np.add.outer(first, second).ravel()
+    return sums[sums <= n]
 
-    The three largest weights are enumerated, each over its class values
-    built once; the smallest weight's values go into a dict from
-    alpha_4 x^2 to the number of in-class, in-domain x that give it (x = 0
-    once, x and -x both when both qualify), so the innermost step is one
-    lookup of the remainder.
+
+def _count_at(inst: CongruenceInstance, n: int) -> int:
+    """Meet in the middle: sort one half's pair sums, search the other half.
+
+    The class values of the two largest weights give one half of pair sums
+    v1 + v2 <= n, those of the other two weights the other half.  The half
+    with fewer pairs is sorted; the other is built in row blocks of about
+    _SEARCH_BLOCK sums (at least one row), and each remainder n - s of a sum
+    s in a block is counted in the sorted half by two binary searches
+    (Horowitz & Sahni, J. ACM 21 (1974) 277-292).  Each x is one entry, so
+    x = 0 counts once and x, -x both when both qualify.  Pair sums are
+    int64, so n must stay below _INT64_GUARD; a larger n is refused before
+    anything is enumerated.
     """
+    if n >= _INT64_GUARD:
+        raise OverflowGuardError(
+            f"per-index count at n = {n} needs pair sums beyond the checked "
+            "64-bit range"
+        )
     r, M, lower = inst.r, inst.M, inst.lower_bound
-    a1, a2, a3, a4 = sorted(inst.alpha, reverse=True)
-    fourth = Counter(_class_values(r, M, a4, n, lower)).get
-    second = _class_values(r, M, a2, n, lower)
-    third = _class_values(r, M, a3, n, lower)
+    v1, v2, v3, v4 = (np.array(_class_values(r, M, a, n, lower), dtype=np.int64)
+                      for a in sorted(inst.alpha, reverse=True))
+    (s1, s2), (t1, t2) = sorted([(v1, v2), (v3, v4)],
+                                key=lambda h: h[0].size * h[1].size)
+    table = np.sort(_pair_sums(s1, s2, n))
+    rows = max(1, _SEARCH_BLOCK // max(t2.size, 1))
     total = 0
-    for v1 in _class_values(r, M, a1, n, lower):
-        r1 = n - v1
-        for v2 in second:
-            if v2 > r1:
-                break
-            r2 = r1 - v2
-            for v3 in third:
-                if v3 > r2:
-                    break
-                total += fourth(r2 - v3, 0)
+    for i in range(0, t1.size, rows):
+        rem = n - _pair_sums(t1[i:i + rows], t2, n)
+        hits = table.searchsorted(rem, "right") - table.searchsorted(rem, "left")
+        total += int(hits.sum())
     return total
 
 

@@ -311,6 +311,22 @@ def test_spot_check_reports_corrupted_entry(capsys, monkeypatch):
     assert json.loads(out)["spot_check"] == report
 
 
+def test_spot_check_samples_the_whole_table():
+    # negative control above n = 4000: a wrong entry there is re-derived and
+    # listed like any other
+    from polytheta import cli, counting
+
+    table = counting.polygonal_count_table(FAMILIES["pentagonal"], 20000,
+                                           NON_NEGATIVE)
+    sampled = cli._run_spot_checks("pentagonal", table - 1, 20000, 8, 0)
+    n = max(sampled["mismatches"])
+    assert n > 4000
+    bad = table.copy()
+    bad[n] += 1
+    report = cli._run_spot_checks("pentagonal", bad, 20000, 8, 0)
+    assert report == {"samples": 8, "mismatches": [n]}
+
+
 def test_farey_dump(capsys):
     code, out = run_cli(capsys, "farey", "--N", "5")
     lines = out.strip().splitlines()

@@ -105,6 +105,17 @@ def test_count_squares_matches_blind_bruteforce():
         assert got == brute_squares(r, M, alpha, lower, 80), (r, M, alpha, lower)
 
 
+def test_count_squares_distinct_weights_match_blind_bruteforce():
+    # four distinct weights, so a counter that pairs or reuses the wrong
+    # coordinates' values cannot agree by symmetry
+    for alpha in [(5, 3, 2, 1), (1, 2, 4, 3), (2, 7, 1, 3)]:
+        for r, M, lower in [(0, 1, None), (1, 2, None), (-1, 3, -2), (0, 1, 0)]:
+            inst = CongruenceInstance(r=r, M=M, alpha=alpha, lower_bound=lower)
+            got = [count_squares(inst, n) for n in range(81)]
+            assert got == brute_squares(r, M, alpha, lower, 80), (
+                r, M, alpha, lower)
+
+
 def test_domain_monotonicity():
     for m, alpha in [(5, (1, 1, 1, 1)), (6, (3, 2, 1, 1)), (8, (1, 1, 1, 1))]:
         inst = PolygonalInstance(m=m, alpha=alpha)
@@ -268,3 +279,29 @@ def test_batch_overflow_guard():
     huge[0] = 2**62
     with pytest.raises(OverflowGuardError):
         _convolve_supports([huge, huge], 2)
+
+
+def test_per_index_overflow_guard_refuses_before_enumerating():
+    # pair sums are int64, so a huge n is refused at once instead of
+    # enumerating billions of class values
+    from polytheta.counting import OverflowGuardError
+
+    with pytest.raises(OverflowGuardError):
+        count_squares(CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1)), 2**63)
+    # the polygonal image point 8(m-2) n + offset crosses the guard
+    with pytest.raises(OverflowGuardError):
+        count_polygonal(PolygonalInstance(m=6, alpha=(1, 1, 1, 1)), 2**60,
+                        ALL_INTEGERS)
+
+
+@pytest.mark.parametrize("n", [100_003, 199_998, 300_000])
+def test_counters_at_scale_match_closed_forms(n):
+    # over all integers the hexagonal numbers l(2l-1) are the triangular
+    # numbers, and four of them sum to n in sigma(2n+1) ways; Jacobi's
+    # four-square count is 8 * sum of the divisors of n not divisible by 4
+    hexagonal = PolygonalInstance(m=6, alpha=(1, 1, 1, 1))
+    assert count_polygonal(hexagonal, n, ALL_INTEGERS) == arith.divisor_sigma(
+        2 * n + 1)
+    squares = CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1))
+    assert count_squares(squares, n) == 8 * sum(
+        d for d in arith.divisors(n) if d % 4)
