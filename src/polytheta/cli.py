@@ -208,6 +208,7 @@ def cmd_asymptotics(args) -> int:
     payload = {
         "kind": "asymptotics", "which": args.which, "nmax": args.nmax,
         "fitted_exponent": fit.slope, "fit_stderr": fit.stderr,
+        "all_zero": fit.all_zero,
         "rows_written": int(len(sel)) if out_path else 0,
         "out": out_path or "", "seed": args.seed,
     }

@@ -4,18 +4,22 @@ congruence-constrained sums of squares.
 Every polygonal count goes through the completed-square map of the paper:
 x_j = 2(m-2) ell_j - (m-4) turns a weighted sum of four m-gonal numbers over
 a domain into a weighted sum of four squares in the class -(m-4) mod 2(m-2)
-above the image of the domain's lower bound.  One enumerator and one
-counting loop then serve both kinds of count, in two evaluation styles:
+above the image of the domain's lower bound.  One enumerator
+(``_class_values``) and one pair-sum helper (``_pair_sums``) then serve both
+kinds of count, in two evaluation styles:
 
 * per-index counters (``count_polygonal``, ``count_squares``) that meet in
   the middle: the pair sums of two weights' class values are sorted, and
   each remainder left by a pair sum of the other two weights is counted by
-  binary search -- these are the independent oracles;
+  binary search -- these are the tables' oracles, since they count in a
+  different way from the same values (the tests check the values against
+  blind four-fold loops);
 * batch tables (``polygonal_count_table``, ``squares_count_table``) that
-  convolve the four one-variable generating arrays with numpy int64
-  arithmetic -- exact, and fast enough for sweeps to 10^5 and beyond.  A
-  polygonal table reads its image's squares on the stride 8(m-2), so it
-  stays nmax + 1 entries long.
+  meet in the middle as well: the pair sums of the two coordinates with the
+  most class values are counted into an int64 table by ``np.bincount``, and
+  each value of the other two coordinates is one shifted add of that table
+  -- exact, and fast enough for sweeps to 10^6.  A polygonal table reads its
+  image's squares on the stride 8(m-2), so it stays nmax + 1 entries long.
 
 All counts are plain Python ints / int64 arrays; both styles guard against
 int64 overflow explicitly.
@@ -43,7 +47,7 @@ __all__ = [
 ]
 
 _INT64_GUARD = 2**62
-_SEARCH_BLOCK = 2**16  # sums per binary-search block of _count_at
+_SEARCH_BLOCK = 2**16  # pair sums per block of _count_at and _count_table
 
 
 class OverflowGuardError(OverflowError):
@@ -252,55 +256,47 @@ def polygonal_to_squares(inst: PolygonalInstance, n: int) -> tuple[CongruenceIns
 # batch tables
 # ---------------------------------------------------------------------------
 
-def _convolve_supports(supports: list[np.ndarray], nmax: int) -> np.ndarray:
-    """Truncated product of generating arrays: exact int64 with overflow guard.
+def _count_table(inst: CongruenceInstance, nmax: int, stride: int = 1,
+                 offset: int = 0) -> np.ndarray:
+    """Counts of ``inst`` at stride * n + offset for all 0 <= n <= nmax, as
+    exact int64.
 
-    Each support array holds the per-coordinate counts by value (index =
-    contributed value).  The product starts from the first support and adds
-    each further support's shifts of the running product once per unit of
-    multiplicity, so no scaled temporary is made.  All entries are
-    non-negative, so partial sums are bounded by the final counts and a
-    single guard on the running maximum suffices.
+    Each coordinate's class value alpha_j x^2 becomes the index
+    (alpha_j x^2 - shift_j) / stride, where the shifts split ``offset`` over
+    the coordinates in proportion to alpha_j (each image coordinate of a
+    polygonal count is (m-4)^2 at ell = 0).  The two coordinates with the
+    most values meet in the middle: their pair sums <= nmax are built in
+    row blocks of about _SEARCH_BLOCK sums and counted by ``np.bincount``.
+    Each of the other two coordinates is then one shift-add stage, one
+    shifted add of the running table per value, so x and -x in one class
+    shift it twice.  Entries are non-negative, so a stage's maximum is at
+    most the running maximum times its number of values; that bound is
+    checked before the stage, and the table is refused before any int64
+    wrap can happen.
     """
-    acc = None
-    acc_max = 1
-    for sup in supports:
-        # preventive guard: entries are non-negative, so the next maximum is
-        # at most acc_max * sum(sup); refuse before any int64 wrap can happen
-        if acc_max * max(int(sup.sum()), 1) > _INT64_GUARD:
+    values = []
+    for a in inst.alpha:
+        shift = a * offset // inst.alpha_sum
+        v = np.array(_class_values(inst.r, inst.M, a, stride * nmax + shift,
+                                   inst.lower_bound), dtype=np.int64)
+        values.append((v - shift) // stride)
+    first, second, *rest = sorted(values, key=len, reverse=True)
+    acc = np.zeros(nmax + 1, dtype=np.int64)
+    rows = max(1, _SEARCH_BLOCK // max(second.size, 1))
+    for i in range(0, first.size, rows):
+        acc += np.bincount(_pair_sums(first[i:i + rows], second, nmax),
+                           minlength=nmax + 1)
+    for vals in rest:
+        if int(acc.max()) * vals.size > _INT64_GUARD:
             raise OverflowGuardError(
                 "batch count exceeds the checked 64-bit range; "
                 "reduce nmax or count per index with exact big ints"
             )
-        if acc is None:
-            acc = sup.copy()
-        else:
-            new = np.zeros(nmax + 1, dtype=np.int64)
-            idx = np.nonzero(sup)[0]
-            for e in np.repeat(idx, sup[idx]):
-                new[e:] += acc[: nmax + 1 - e]
-            acc = new
-        acc_max = int(acc.max(initial=0))
+        new = np.zeros(nmax + 1, dtype=np.int64)
+        for e in vals.tolist():
+            new[e:] += acc[:nmax + 1 - e]
+        acc = new
     return acc
-
-
-def _supports(inst: CongruenceInstance, nmax: int, stride: int = 1,
-              offset: int = 0) -> list[np.ndarray]:
-    """Per-coordinate count arrays of indices 0..nmax.
-
-    The value alpha_j x^2 goes to index (alpha_j x^2 - shift_j) / stride,
-    where the shifts split ``offset`` over the coordinates in proportion to
-    alpha_j (each image coordinate of a polygonal count is (m-4)^2 at ell = 0).
-    """
-    sups = []
-    for a in inst.alpha:
-        sup = np.zeros(nmax + 1, dtype=np.int64)
-        shift = a * offset // inst.alpha_sum
-        for v in _class_values(inst.r, inst.M, a, stride * nmax + shift,
-                               inst.lower_bound):
-            sup[(v - shift) // stride] += 1
-        sups.append(sup)
-    return sups
 
 
 def polygonal_count_table(inst: PolygonalInstance, nmax: int,
@@ -308,10 +304,10 @@ def polygonal_count_table(inst: PolygonalInstance, nmax: int,
     """Counts for all 0 <= n <= nmax at once (exact; same values as
     count_polygonal)."""
     cong, stride, offset = _square_image(inst, domain)
-    return _convolve_supports(_supports(cong, nmax, stride, offset), nmax)
+    return _count_table(cong, nmax, stride, offset)
 
 
 def squares_count_table(inst: CongruenceInstance, nmax: int) -> np.ndarray:
     """Counts for all 0 <= n <= nmax at once (exact; same values as
     count_squares)."""
-    return _convolve_supports(_supports(inst, nmax), nmax)
+    return _count_table(inst, nmax)

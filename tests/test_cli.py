@@ -282,6 +282,24 @@ def test_asymptotics_squares_family(capsys):
     assert all(abs(x - 1) < 0.25 for x in ratios)
 
 
+@pytest.mark.parametrize("which", ["squares", "hexagonal", "hexagonal2",
+                                   "pentagonal"])
+def test_asymptotics_flags_an_exact_family(capsys, which):
+    # the one-sided all-odd four-square count is exactly one-sixteenth of the
+    # unrestricted one, so its residuals are all 0 and its slope of 0 is no
+    # fit; every corollary family has residuals to fit
+    code, out = run_cli(capsys, "asymptotics", "--which", which,
+                        "--nmax", "2000", "--max-rows", "10")
+    assert code == 0
+    data = json.loads(out)
+    assert data["all_zero"] is (which == "squares")
+    if which == "squares":
+        assert data["fitted_exponent"] == data["fit_stderr"] == 0.0
+        assert all(r["residual"] == 0 for r in data["rows"])
+    else:
+        assert data["fit_stderr"] > 0
+
+
 def test_asymptotics_spot_check(capsys):
     code, out = run_cli(capsys, "asymptotics", "--which", "pentagonal",
                         "--nmax", "2000", "--spot-check", "8")

@@ -203,6 +203,79 @@ def test_tables_match_per_index_counters():
             assert tab[n] == count_squares(cinst, n)
 
 
+def assert_table_matches_counters(inst, nmax, domain=None):
+    if domain is None:
+        got = squares_count_table(inst, nmax)
+        want = [count_squares(inst, n) for n in range(nmax + 1)]
+    else:
+        got = polygonal_count_table(inst, nmax, domain)
+        want = [count_polygonal(inst, n, domain) for n in range(nmax + 1)]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+EDGE_CASES = [  # (instance, polygonal domain or None for squares, nmax)
+    # nmax 0 and 1: only the zero vector, or the first class values
+    *[(inst, dom, nmax) for nmax in (0, 1) for inst, dom in (
+        (CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1)), None),
+        (CongruenceInstance(r=1, M=2, alpha=(1, 1, 1, 1)), None),
+        (CongruenceInstance(r=0, M=1, alpha=(3, 1, 2, 1), lower_bound=0), None),
+        (PolygonalInstance(m=6, alpha=(1, 1, 1, 1)), NON_NEGATIVE),
+        (PolygonalInstance(m=5, alpha=(2, 1, 1, 1)), ALL_INTEGERS),
+        (PolygonalInstance(m=3, alpha=(1, 1, 1, 1)), POSITIVE))],
+    # a coordinate whose class has no value <= nmax: one, three or all four
+    # value arrays empty
+    (CongruenceInstance(r=1, M=2, alpha=(1, 1, 1, 50)), None, 40),
+    (CongruenceInstance(r=1, M=2, alpha=(60, 50, 1, 70)), None, 40),
+    (CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1), lower_bound=7), None, 40),
+    # r = 0 and r = M/2: x and -x repeat a value in every coordinate
+    (CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1)), None, 150),
+    (CongruenceInstance(r=0, M=4, alpha=(1, 1, 1, 1)), None, 150),
+    (CongruenceInstance(r=2, M=4, alpha=(1, 2, 1, 1)), None, 150),
+    (CongruenceInstance(r=3, M=6, alpha=(1, 1, 1, 1)), None, 150),
+    # a lower bound that cuts one side: only some values repeat
+    (CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1), lower_bound=-1), None, 150),
+    (CongruenceInstance(r=2, M=4, alpha=(1, 1, 1, 1), lower_bound=-2), None, 150),
+    (CongruenceInstance(r=3, M=6, alpha=(2, 1, 1, 1), lower_bound=-3), None, 150),
+    (PolygonalInstance(m=4, alpha=(1, 1, 1, 1)), CountDomain(lower=-1), 150),
+    # four distinct weights, so pairing or reusing the wrong coordinates'
+    # values cannot agree by symmetry
+    (CongruenceInstance(r=0, M=1, alpha=(7, 5, 2, 1)), None, 150),
+    (CongruenceInstance(r=1, M=3, alpha=(1, 3, 8, 2), lower_bound=-2), None, 150),
+    (PolygonalInstance(m=5, alpha=(5, 3, 2, 1)), ALL_INTEGERS, 150),
+    (PolygonalInstance(m=6, alpha=(4, 3, 2, 1)), NON_NEGATIVE, 150),
+]
+
+
+@pytest.mark.parametrize("inst, dom, nmax", EDGE_CASES)
+def test_table_edge_cases_match_per_index_counters(inst, dom, nmax):
+    assert_table_matches_counters(inst, nmax, dom)
+
+
+def test_table_pair_stage_in_blocks_of_one_sum(monkeypatch):
+    # a block of one row per bincount: many blocks must add up to the counts
+    from polytheta import counting
+
+    monkeypatch.setattr(counting, "_SEARCH_BLOCK", 1)
+    for inst, dom in [(CongruenceInstance(r=0, M=1, alpha=(7, 5, 2, 1)), None),
+                      (CongruenceInstance(r=3, M=6, alpha=(1, 1, 1, 1),
+                                          lower_bound=-3), None),
+                      (PolygonalInstance(m=6, alpha=(2, 1, 1, 1)), ALL_INTEGERS)]:
+        assert_table_matches_counters(inst, 200, dom)
+
+
+def test_tables_match_closed_forms_at_scale():
+    # hexagonal2 over all integers is an Eisenstein series with the
+    # character (8/.): 4 r*(n) = -sum_{d | 8n+5} (8/d) d; four unrestricted
+    # squares (x and -x repeat in every coordinate) give Jacobi's count
+    n = 100_000
+    hexagonal2 = polygonal_count_table(PolygonalInstance(m=6, alpha=(2, 1, 1, 1)),
+                                       n, ALL_INTEGERS)
+    assert np.array_equal(4 * hexagonal2, -arith.twisted8_table(8 * n + 5)[5::8])
+    squares = squares_count_table(CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1)), n)
+    assert np.array_equal(squares, arith.jacobi_four_square_table(n))
+
+
 small_polygonal = st.tuples(
     st.integers(3, 8), st.lists(st.integers(1, 3), min_size=4, max_size=4),
     st.integers(0, 150),
@@ -272,13 +345,30 @@ def test_invalid_instances_rejected():
                         NON_NEGATIVE)
 
 
-def test_batch_overflow_guard():
-    from polytheta.counting import OverflowGuardError, _convolve_supports
+def test_batch_overflow_guard(monkeypatch):
+    # four unrestricted squares: each coordinate has 2 * isqrt(nmax) + 1
+    # values, the pair stage counts r_2, and the last shift-add stage runs
+    # over a table of r_3, so its preventive bound is max r_3 times the
+    # number of values; a guard just below that bound refuses the table, a
+    # guard at or above it does not
+    from polytheta import counting
 
-    huge = np.zeros(3, dtype=np.int64)
-    huge[0] = 2**62
-    with pytest.raises(OverflowGuardError):
-        _convolve_supports([huge, huge], 2)
+    nmax = 2000
+    inst = CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1))
+    values = 2 * isqrt(nmax) + 1
+    theta = np.zeros(nmax + 1, dtype=np.int64)
+    theta[np.arange(isqrt(nmax) + 1) ** 2] = 2
+    theta[0] = 1
+    r3 = np.convolve(np.convolve(theta, theta)[:nmax + 1], theta)[:nmax + 1]
+    bound = int(r3.max()) * values
+    jacobi = arith.jacobi_four_square_table(nmax)
+    assert np.array_equal(squares_count_table(inst, nmax), jacobi)
+
+    monkeypatch.setattr(counting, "_INT64_GUARD", 2 ** ((bound - 1).bit_length() - 1))
+    with pytest.raises(counting.OverflowGuardError):
+        squares_count_table(inst, nmax)
+    monkeypatch.setattr(counting, "_INT64_GUARD", 2 ** bound.bit_length())
+    assert np.array_equal(squares_count_table(inst, nmax), jacobi)
 
 
 def test_per_index_overflow_guard_refuses_before_enumerating():
