@@ -36,26 +36,30 @@ The theta sums are evaluated in two ways, each by one kernel:
   smallest decay, and the exponentials run in blocks of at most
   ``_PV_CHUNK`` entries.
 
-Three routes to the principal-value integral itself are provided:
+Two routes to the principal-value integral itself are provided, both on
+the Gauss-Legendre rules of ``_legendre`` (the rules the contour runs) and
+integrated by ``_gl_integral``, which doubles each piece's rule until two
+rules agree:
 
 * ``pv_integral``         -- the split form: residue term + a smooth middle
-                             integral + two half-line tails (quadrature);
-* ``pv_integral_direct``  -- symmetric-excision principal-value quadrature of
-                             the defining integral (the independent oracle);
-* ``pv_closed_form_batch`` -- Faddeeva-function closed form over an array
-                             of mu (used by the nu-sums).
+                             integral + two half-line tails;
+* ``pv_integral_direct``  -- the symmetric-excision form
+                             int_0^T [g(mu + t) - g(mu - t)]/t dt plus the
+                             same half-residue.
 
-The first two are kept deliberately independent; tests require them to agree.
-``pv_closed_form_batch`` and the nu-sums built on it (``nu_sum_batch``, with
-digamma and Hurwitz-zeta tails) are the oracle of the window and the
-lemma 5.8 check; the evaluators do not call them.
+The two are kept deliberately independent; tests require them to agree.
+The nu-sum of principal values at one window index, ``nu_sum``, is
+``_window_sum`` of a one-index table, so lemma 5.8's check reads the route
+the evaluators run.  The Faddeeva closed form and QUADPACK's Cauchy-weight
+principal value are the test oracle (``tests/oracles.py``); the package
+depends on numpy alone.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,20 +68,17 @@ from .arith import gauss_sum_table
 __all__ = [
     "PVIntegralParams",
     "QuadratureError",
-    "complex_quad",
     "theta_eval_direct_arc",
     "false_theta_eval_direct_arc",
     "theta_eval_transformed",
     "false_theta_eval_transformed",
     "pv_integral",
     "pv_integral_direct",
-    "pv_closed_form_batch",
     "j_integral",
     "j_trivial_bound",
     "j_recursion_residual",
     "lattice_window",
     "nu_sum",
-    "nu_sum_batch",
     "cot_main_term",
 ]
 
@@ -142,21 +143,6 @@ class PVIntegralParams:
     def A(self) -> float:
         """pi mu^2 / (4 M k alpha_j |z|)."""
         return math.pi * self.mu**2 / (4.0 * self.M * self.k * self.alpha_j * abs(self.z))
-
-
-def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None,
-                 tol: float = 1e-11) -> tuple[complex, float]:
-    """Adaptive quadrature of a complex integrand; returns (value, error est)."""
-    from scipy import integrate
-
-    kw = {"limit": 200, "epsabs": tol, "epsrel": tol, "full_output": 1}
-    if points is not None:
-        pts = [p for p in points if a < p < b]
-        if pts:
-            kw["points"] = pts
-    res_re = integrate.quad(lambda x: f(x).real, a, b, **kw)
-    res_im = integrate.quad(lambda x: f(x).imag, a, b, **kw)
-    return res_re[0] + 1j * res_im[0], res_re[1] + res_im[1]
 
 
 def _unit_phase(num, den):
@@ -320,11 +306,8 @@ def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z,
     return f
 
 
-# entries per array block of the node-wise series: (term, node) per
-# exponential block of ``_gauss_series``, and (window index, shifted pair,
-# node) per Faddeeva call of ``nu_sum_batch``; the block is cut along terms or
-# nodes to at most this many entries (in ``nu_sum_batch``, one node at a time
-# where the other axes alone are larger)
+# entries per (term, node) exponential block of ``_gauss_series``; the block
+# is cut along terms or nodes to at most this many entries
 _PV_CHUNK = 8192
 
 # relative size of the first dropped term of every Gaussian series of the
@@ -445,7 +428,7 @@ def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int, z):
 
 
 def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
-                                 z, nu_terms: int = 24):
+                                 z):
     """Gauss-sum expansion of the sign-weighted theta sum for the class
     r mod 2M, at argument 2 alpha_j (h + i z)/k; z as for the two-sided sum.
 
@@ -455,24 +438,76 @@ def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
     nu = 0 term (``_window_entry``).  The Gauss-sum second argument is
     2 r alpha_j h + l, matching the quadratic-completion bookkeeping of the
     full product expansion.
-
-    ``nu_terms`` is ignored: the window has no shifted-pair truncation.  The
-    argument is kept for existing callers and will be deleted (ROADMAP
-    item 8).
     """
     return _transformed_sum(r, M, alpha_j, h, k, z, False)
 
 
 # ---------------------------------------------------------------------------
-# the principal-value integral
+# Gauss-Legendre rules and the integrals on them
 # ---------------------------------------------------------------------------
 
-def _expm1_over(u: complex) -> complex:
-    """(exp(u) - 1)/u, stable near u = 0."""
-    if abs(u) < 1e-5:
-        return 1 + u / 2 + u * u / 6 + u * u * u / 24
-    return (cmath.exp(u) - 1) / u
+def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_m(x) and P_{m-1}(x) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for j in range(2, m + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, prev
 
+
+@lru_cache(maxsize=None)
+def _legendre(m: int) -> np.ndarray:
+    """Nodes and weights (rows) of the m-point Gauss-Legendre rule on [0, 1].
+
+    The nodes are x = cos(theta), by Newton's method in theta on P_m from
+    theta = pi (i - 1/4)/(m + 1/2), with dP_m/dtheta = m (x P_m - P_{m-1})/
+    sin(theta); the weights are 2/(sin(theta) P_m'(x))^2 at the converged
+    nodes, P_m' with its x P_m term, which keeps them accurate to the
+    roundoff of the recurrence out to the ends of the interval."""
+    theta = np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5)
+    step = np.ones(m)
+    while np.max(np.abs(step)) >= 1e-13:
+        x = np.cos(theta)
+        p, p_prev = _legendre_pair(m, x)
+        step = p * np.sin(theta) / (m * (x * p - p_prev))
+        theta -= step
+    x = np.cos(theta)
+    p, p_prev = _legendre_pair(m, x)
+    weights = 2 * (np.sin(theta) / (m * (x * p - p_prev))) ** 2
+    rule = np.array([(x + 1) / 2, weights / 2])
+    rule.flags.writeable = False
+    return rule
+
+
+# the rules of ``_gl_integral``: 16, 32, ..., 1024 nodes a piece
+_GL_SIZES = tuple(16 << i for i in range(7))
+
+
+def _gl_integral(f, points, tol: float) -> tuple[complex, float]:
+    """The integral of f over [points[0], points[-1]] and its error
+    estimate.  f maps a real array of nodes to the complex array of its
+    values.  Each piece between consecutive points runs the rules of
+    ``_GL_SIZES`` in turn until two agree to tol (absolutely, or relative
+    to a value above 1) or the largest has run; the estimate is the sum
+    over pieces of the last two rules' difference."""
+    total, err = 0j, 0.0
+    for a, b in zip(points, points[1:]):
+        prev = None
+        for m in _GL_SIZES:
+            x, w = _legendre(m)
+            val = complex((b - a) * (w * f(a + (b - a) * x)).sum())
+            if prev is not None:
+                diff = abs(val - prev)
+                if diff <= tol * max(1.0, abs(val)):
+                    break
+            prev = val
+        total += val
+        err += diff
+    return total, err
+
+
+# ---------------------------------------------------------------------------
+# the principal-value integral
+# ---------------------------------------------------------------------------
 
 def pv_integral(params: PVIntegralParams, tol: float = 1e-11) -> complex:
     """Principal-value Gaussian integral by the split route.
@@ -481,42 +516,35 @@ def pv_integral(params: PVIntegralParams, tol: float = 1e-11) -> complex:
     of (g(x) - g(0))/x over [-delta, delta] with g(x) = exp(-pi (x+mu)^2 V)
     (smooth; the removable singularity is handled analytically); and the two
     half-line tails sgn(mu) [int_delta^inf exp(-pi (x+|mu|)^2 V)/x dx -
-    int_delta^inf exp(-pi (x-|mu|)^2 V)/x dx].
+    int_delta^inf exp(-pi (x-|mu|)^2 V)/x dx], the second split at its peak
+    x = |mu|.
     """
-    mu, z = params.mu, params.z
+    mu = params.mu
     w = cmath.pi * params.gaussian_weight  # integrand exp(-w x^2)
     delta = params.delta if params.delta is not None else abs(mu) / 4.0
-    if not (0 < delta < abs(mu) / 2):
-        raise ValueError(f"need 0 < delta < |mu|/2, got delta={delta}")
     sgn = 1 if mu > 0 else -1
     g0 = cmath.exp(-w * mu * mu)
     residue = sgn * cmath.pi * 1j * g0
 
-    def middle(x: float) -> complex:
-        # (g(x) - g(0))/x with g(x) = exp(-w (x+mu)^2); the factored expm1
-        # form handles the cancellation near x = 0, the plain difference
-        # avoids overflow of exp(u) elsewhere
+    def middle(x: np.ndarray) -> np.ndarray:
+        # (g(x) - g(0))/x with g(x) = exp(-w (x+mu)^2) = g(0) exp(u); the
+        # expm1 form handles the cancellation near x = 0, the plain
+        # difference avoids overflow of exp(u) elsewhere
         u = -w * x * (2 * mu + x)
-        if abs(u) < 1.0:
-            return g0 * (-w) * (2 * mu + x) * _expm1_over(u)
-        return (cmath.exp(-w * (x + mu) ** 2) - g0) / x
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = g0 * np.expm1(u)
+        return np.where(np.abs(u) < 1.0, near, np.exp(-w * (x + mu) ** 2) - g0) / x
 
-    mid, err_mid = complex_quad(middle, -delta, delta, tol=tol)
+    mid, err_mid = _gl_integral(middle, (-delta, delta), tol)
 
     amu = abs(mu)
     reach = math.sqrt(50.0 / w.real)
-
-    def tail_plus(x: float) -> complex:
-        return cmath.exp(-w * (x + amu) ** 2) / x
-
-    def tail_minus(x: float) -> complex:
-        return cmath.exp(-w * (x - amu) ** 2) / x
-
     up_plus = max(2 * delta, reach)  # (x + |mu|)^2 >= 50/Re w beyond this
     up_minus = amu + reach
-    t_plus, err_p = complex_quad(tail_plus, delta, up_plus, tol=tol)
-    t_minus, err_m = complex_quad(tail_minus, delta, up_minus,
-                                  points=[amu], tol=tol)
+    t_plus, err_p = _gl_integral(lambda x: np.exp(-w * (x + amu) ** 2) / x,
+                                 (delta, up_plus), tol)
+    t_minus, err_m = _gl_integral(lambda x: np.exp(-w * (x - amu) ** 2) / x,
+                                  (delta, amu, up_minus), tol)
     total_err = err_mid + err_p + err_m
     if total_err > 1e-6:
         raise QuadratureError(
@@ -525,39 +553,24 @@ def pv_integral(params: PVIntegralParams, tol: float = 1e-11) -> complex:
 
 
 def pv_integral_direct(params: PVIntegralParams, tol: float = 1e-11) -> complex:
-    """Independent oracle: symmetric-excision principal-value quadrature of
-    the defining integral, plus the same half-residue term."""
-    from scipy import integrate
-
-    mu, z = params.mu, params.z
+    """The second route: the principal value as the symmetric-excision
+    integral int_0^T [g(mu + t) - g(mu - t)]/t dt, g(x) = exp(-pi V x^2),
+    plus the same half-residue sgn(mu) pi i g(mu).  The integrand is smooth
+    at t = 0 and peaks at t = |mu|, where the quadrature splits; past
+    T = |mu| + sqrt(60/Re(pi V)) both g's are below exp(-60)."""
+    mu = params.mu
     w = cmath.pi * params.gaussian_weight
-    L = max(math.sqrt(60.0 / w.real), 3.0 * abs(mu))
-    kw = {"limit": 400, "epsabs": tol, "epsrel": tol,
-          "weight": "cauchy", "wvar": float(mu), "full_output": 1}
-    pv_re = integrate.quad(lambda x: cmath.exp(-w * x * x).real, -L, L, **kw)
-    pv_im = integrate.quad(lambda x: cmath.exp(-w * x * x).imag, -L, L, **kw)
-    pv = pv_re[0] + 1j * pv_im[0]
+    amu = abs(mu)
+
+    def excised(t: np.ndarray) -> np.ndarray:
+        return (np.exp(-w * (mu + t) ** 2) - np.exp(-w * (mu - t) ** 2)) / t
+
+    pv, err = _gl_integral(excised, (0.0, amu, amu + math.sqrt(60.0 / w.real)), tol)
+    if err > 1e-6:
+        raise QuadratureError(
+            f"pv_integral_direct quadrature error estimate {err:.2e} too large")
     sgn = 1 if mu > 0 else -1
     return pv + sgn * cmath.pi * 1j * cmath.exp(-w * mu * mu)
-
-
-def pv_closed_form_batch(mus: np.ndarray, M: int, alpha_j: int, k: int,
-                         z) -> np.ndarray:
-    """Faddeeva-function closed form of the principal-value integral, for
-    each entry of an array of nonzero integers mu, at a complex z (an array
-    of mus' shape) or a 1-D array of z (mus' shape, then z's).
-
-    With a = mu sqrt(pi V): pi i [(sgn(mu) + 1) exp(-a^2) - wofz(-a)],
-    which is pi i sgn(mu) wofz(|mu| sqrt(pi V)) by wofz(-a) = 2 exp(-a^2) -
-    wofz(a); one Faddeeva call per entry and no exponential.
-    Odd in mu; asymptotically -2 sqrt(M k alpha_j z)/mu for large |mu|.
-    """
-    from scipy.special import wofz
-
-    mus = np.asarray(mus)
-    z = np.asarray(z, dtype=complex)
-    s = np.sqrt(np.pi / (4.0 * M * k * alpha_j * z))
-    return _by_node(np.pi * 1j * np.sign(mus), z) * wofz(_by_node(np.abs(mus), z) * s)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +585,9 @@ def j_integral(d: int, sign: int, A: float, z: complex,
                tol: float = 1e-12) -> complex:
     """C_d (z/(2A|z|))^(d-1) int_{1/2}^inf x^(-d) exp(-A (|z|/z)(x + sign)^2) dx.
 
-    sign is +1 or -1; A > 0; Re z > 0.  Evaluated by adaptive quadrature with
-    a cutoff where the Gaussian envelope falls below exp(-50).
+    sign is +1 or -1; A > 0; Re z > 0.  Evaluated by ``_gl_integral``, split
+    at x = 1 (the peak for sign = -1), with a cutoff where the Gaussian
+    envelope falls below exp(-50).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -585,11 +599,8 @@ def j_integral(d: int, sign: int, A: float, z: complex,
     reach = math.sqrt(50.0 / B.real)
     upper = max(2.0, reach + (1.0 if sign == -1 else 0.0))
 
-    def f(x: float) -> complex:
-        return x ** (-d) * cmath.exp(-B * (x + sign) ** 2)
-
-    val, err = complex_quad(f, 0.5, upper, points=[1.0] if sign == -1 else None,
-                            tol=tol)
+    val, err = _gl_integral(lambda x: x ** (-d) * np.exp(-B * (x + sign) ** 2),
+                            (0.5, 1.0, upper), tol)
     if err > 1e-7:
         raise QuadratureError(f"j_integral error estimate {err:.2e} too large")
     pref = _factorial_c(d) * (z / (2 * A * abs(z))) ** (d - 1)
@@ -629,57 +640,23 @@ def lattice_window(d: int) -> list[int]:
     return list(range(1 - d, 0)) + list(range(1, d + 1))
 
 
-def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z,
-                 terms: int = 24) -> np.ndarray:
-    """For each l in ells: the nu=0-halved sum over nu >= 0 and both signs of
-    the principal-value integrals at arguments l +- 2 M k nu, at a complex z
-    (an array over ells) or a 1-D array of z (ells on the first axis, z's
-    shape after it).
+def nu_sum(ell: int, M: int, alpha_j: int, k: int, z: complex) -> complex:
+    """S_l, the sum over nu in Z of the principal-value integrals at the
+    arguments l + 2 M k nu, for a window index l in [1-Mk, -1] u [1, Mk] at
+    a complex z.
 
-    The first ``terms`` shifted pairs are evaluated with the closed form; the
-    remainder is summed analytically from the 1/mu, 1/mu^3 and 1/mu^5
-    asymptotics (digamma and Hurwitz-zeta tails).  The residual error decays like
-    terms^(-4).
+    It is ``_window_sum`` of the odd table that is 1 at l and -1 at -l
+    (mod 2Mk), times pi/(2i): the route the transformed evaluators run.  At
+    l = Mk the arguments Mk (2 Z + 1) are symmetric about 0, and S_l is 0.
     """
-    from scipy.special import digamma, zeta
-
-    ells = np.asarray(list(ells), dtype=np.int64)
-    if np.any(ells == 0) or np.any(np.abs(ells) > M * k) or np.any(ells < 1 - M * k):
+    if ell == 0 or not 1 - M * k <= ell <= M * k:
         raise ValueError("window indices must lie in [1-Mk, -1] or [1, Mk]")
+    if ell == M * k:
+        return 0j
+    table = np.zeros(2 * M * k, dtype=complex)
+    table[ell], table[-ell] = 1, -1
     z = np.asarray(z, dtype=complex)
-    step = 2 * M * k
-    nu = np.arange(1, terms + 1, dtype=np.int64)
-    # arguments: l itself, then the +- pairs for nu = 1..terms
-    mus = np.concatenate([
-        ells[:, None],
-        ells[:, None] + step * nu[None, :],
-        ells[:, None] - step * nu[None, :],
-    ], axis=1).astype(np.float64)
-    nodes = z.reshape(-1)
-    per = max(1, _PV_CHUNK // max(mus.size, 1))
-    partial = np.concatenate(
-        [pv_closed_form_batch(mus, M, alpha_j, k, nodes[i:i + per]).sum(axis=1)
-         for i in range(0, nodes.size, per)], axis=1).reshape(ells.shape + z.shape)
-    # analytic tails from the large-mu expansion: mainC/mu + cubicC/mu^3 +
-    # quinticC/mu^5 + O(mu^-7); paired tails reduce to digamma and
-    # Hurwitz-zeta differences
-    Vc = 1.0 / (4.0 * M * k * alpha_j * z)
-    sqVc = np.sqrt(Vc)
-    mainC = -1.0 / sqVc
-    cubicC = -1.0 / (2.0 * np.pi * Vc * sqVc)
-    quinticC = -3.0 / (4.0 * np.pi**2 * Vc * Vc * sqVc)
-    x = ells / step
-    V1 = terms + 1
-    tail = mainC / step * _by_node(digamma(V1 - x) - digamma(V1 + x), z)
-    tail += cubicC / step**3 * _by_node(zeta(3, V1 + x) - zeta(3, V1 - x), z)
-    tail += quinticC / step**5 * _by_node(zeta(5, V1 + x) - zeta(5, V1 - x), z)
-    return partial + tail
-
-
-def nu_sum(ell: int, M: int, alpha_j: int, k: int, z: complex,
-           terms: int = 24) -> complex:
-    """Scalar wrapper around nu_sum_batch for a single window index."""
-    return complex(nu_sum_batch([ell], M, alpha_j, k, z, terms=terms)[0])
+    return complex(_window_sum(table, M, alpha_j, k, z) * (np.pi / 2j))
 
 
 def cot_main_term(ell: int, M: int, alpha_j: int, k: int, z: complex) -> complex:

@@ -6,10 +6,6 @@ exports the rows of ``transformation_pairs`` and ``pv_pairs``, and the
 acceptance suite calls the same functions with its own literal bounds.
 Functions raise ``ValueError`` on an invalid instance or an empty domain,
 where a check would pass vacuously.
-
-Importing it, like any polytheta module, loads no scipy: ``analytic``
-imports scipy inside the functions that integrate, and ``circle`` builds its
-own Gauss-Legendre rules.
 """
 from __future__ import annotations
 

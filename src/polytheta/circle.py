@@ -23,7 +23,7 @@ stopped, and each arc stops once two of its rules agree to its share of the
 tolerance, stop converging (the evaluator's roundoff floor, once m has a
 few nodes per period of e(-n phi) on the wider side) or reach m = 1024;
 ``quad_error`` sums exp(2 pi n/N^2) times each arc's last difference.  The
-rules are built here (``_legendre``), so the contour loads no scipy.  The
+rules are ``analytic._legendre``'s, the ones the lemma-5 integrals run.  The
 nu-decomposition takes m = 24 and contracts its per-arc nu-sum tables over
 the nodes (``_nu_contraction``).
 """
@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (_arc_z, _gauss_factor, _lattice_sum, _unit_phase,
-                       false_theta_eval_transformed, theta_eval_transformed)
+from .analytic import (_arc_z, _gauss_factor, _lattice_sum, _legendre,
+                       _unit_phase, false_theta_eval_transformed,
+                       theta_eval_transformed)
 from .arith import gauss_sum_table
 from .farey import arcs, rho_congruence
 from .series import FULL_J
@@ -86,38 +86,6 @@ class ContourResult:
     value: complex
     num_arcs: int
     quad_error: float
-
-
-def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_m(x) and P_{m-1}(x) by the three-term recurrence."""
-    prev, cur = np.ones_like(x), x
-    for j in range(2, m + 1):
-        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
-    return cur, prev
-
-
-@lru_cache(maxsize=None)
-def _legendre(m: int) -> np.ndarray:
-    """Nodes and weights (rows) of the m-point Gauss-Legendre rule on [0, 1].
-
-    The nodes are x = cos(theta), by Newton's method in theta on P_m from
-    theta = pi (i - 1/4)/(m + 1/2), with dP_m/dtheta = m (x P_m - P_{m-1})/
-    sin(theta); the weights are 2/(sin(theta) P_m'(x))^2 at the converged
-    nodes, P_m' with its x P_m term, which keeps them accurate to the
-    roundoff of the recurrence out to the ends of the interval."""
-    theta = np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5)
-    step = np.ones(m)
-    while np.max(np.abs(step)) >= 1e-13:
-        x = np.cos(theta)
-        p, p_prev = _legendre_pair(m, x)
-        step = p * np.sin(theta) / (m * (x * p - p_prev))
-        theta -= step
-    x = np.cos(theta)
-    p, p_prev = _legendre_pair(m, x)
-    weights = 2 * (np.sin(theta) / (m * (x * p - p_prev))) ** 2
-    rule = np.array([(x + 1) / 2, weights / 2])
-    rule.flags.writeable = False
-    return rule
 
 
 def _arc_walk(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,0 +1,128 @@
+"""Reference routes the tests hold polytheta against.
+
+The package integrates on its own Gauss-Legendre rules and sums the
+principal values of lemma 5 as Fourier/residue series, with numpy alone.
+These are the independent routes it is compared with: QUADPACK
+(``scipy.integrate``) for the integrals and the Cauchy-weight principal
+value, the Faddeeva closed form with digamma and Hurwitz-zeta tails
+(``scipy.special``) for the principal values and their nu-sums, and
+scipy's Gauss-Legendre nodes for the rules.  scipy is a test dependency
+only; each oracle imports it when called.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Sequence
+
+import numpy as np
+
+from polytheta.analytic import _PV_CHUNK, PVIntegralParams, _by_node
+
+
+def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None,
+                 tol: float = 1e-11) -> tuple[complex, float]:
+    """Adaptive quadrature of a complex integrand; returns (value, error est)."""
+    from scipy import integrate
+
+    kw = {"limit": 200, "epsabs": tol, "epsrel": tol, "full_output": 1}
+    if points is not None:
+        pts = [p for p in points if a < p < b]
+        if pts:
+            kw["points"] = pts
+    res_re = integrate.quad(lambda x: f(x).real, a, b, **kw)
+    res_im = integrate.quad(lambda x: f(x).imag, a, b, **kw)
+    return res_re[0] + 1j * res_im[0], res_re[1] + res_im[1]
+
+
+def pv_cauchy_quad(params: PVIntegralParams, tol: float = 1e-11) -> complex:
+    """QUADPACK's Cauchy-weight principal value of the defining integral,
+    plus the half-residue term."""
+    from scipy import integrate
+
+    mu, z = params.mu, params.z
+    w = cmath.pi * params.gaussian_weight
+    L = max(math.sqrt(60.0 / w.real), 3.0 * abs(mu))
+    kw = {"limit": 400, "epsabs": tol, "epsrel": tol,
+          "weight": "cauchy", "wvar": float(mu), "full_output": 1}
+    pv_re = integrate.quad(lambda x: cmath.exp(-w * x * x).real, -L, L, **kw)
+    pv_im = integrate.quad(lambda x: cmath.exp(-w * x * x).imag, -L, L, **kw)
+    pv = pv_re[0] + 1j * pv_im[0]
+    sgn = 1 if mu > 0 else -1
+    return pv + sgn * cmath.pi * 1j * cmath.exp(-w * mu * mu)
+
+
+def pv_closed_form_batch(mus: np.ndarray, M: int, alpha_j: int, k: int,
+                         z) -> np.ndarray:
+    """Faddeeva-function closed form of the principal-value integral, for
+    each entry of an array of nonzero integers mu, at a complex z (an array
+    of mus' shape) or a 1-D array of z (mus' shape, then z's).
+
+    With a = mu sqrt(pi V): pi i [(sgn(mu) + 1) exp(-a^2) - wofz(-a)],
+    which is pi i sgn(mu) wofz(|mu| sqrt(pi V)) by wofz(-a) = 2 exp(-a^2) -
+    wofz(a); one Faddeeva call per entry and no exponential.
+    Odd in mu; asymptotically -2 sqrt(M k alpha_j z)/mu for large |mu|.
+    """
+    from scipy.special import wofz
+
+    mus = np.asarray(mus)
+    z = np.asarray(z, dtype=complex)
+    s = np.sqrt(np.pi / (4.0 * M * k * alpha_j * z))
+    return _by_node(np.pi * 1j * np.sign(mus), z) * wofz(_by_node(np.abs(mus), z) * s)
+
+
+def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z,
+                 terms: int = 24) -> np.ndarray:
+    """For each l in ells: the nu=0-halved sum over nu >= 0 and both signs of
+    the principal-value integrals at arguments l +- 2 M k nu, at a complex z
+    (an array over ells) or a 1-D array of z (ells on the first axis, z's
+    shape after it).
+
+    The first ``terms`` shifted pairs are evaluated with the closed form; the
+    remainder is summed analytically from the 1/mu, 1/mu^3 and 1/mu^5
+    asymptotics (digamma and Hurwitz-zeta tails).  The residual error decays like
+    terms^(-4).  The Faddeeva calls go in blocks of at most ``_PV_CHUNK``
+    (window index, shifted pair, node) entries, one node at a time where
+    the other axes alone are larger.
+    """
+    from scipy.special import digamma, zeta
+
+    ells = np.asarray(list(ells), dtype=np.int64)
+    if np.any(ells == 0) or np.any(np.abs(ells) > M * k) or np.any(ells < 1 - M * k):
+        raise ValueError("window indices must lie in [1-Mk, -1] or [1, Mk]")
+    z = np.asarray(z, dtype=complex)
+    step = 2 * M * k
+    nu = np.arange(1, terms + 1, dtype=np.int64)
+    # arguments: l itself, then the +- pairs for nu = 1..terms
+    mus = np.concatenate([
+        ells[:, None],
+        ells[:, None] + step * nu[None, :],
+        ells[:, None] - step * nu[None, :],
+    ], axis=1).astype(np.float64)
+    nodes = z.reshape(-1)
+    per = max(1, _PV_CHUNK // max(mus.size, 1))
+    partial = np.concatenate(
+        [pv_closed_form_batch(mus, M, alpha_j, k, nodes[i:i + per]).sum(axis=1)
+         for i in range(0, nodes.size, per)], axis=1).reshape(ells.shape + z.shape)
+    # analytic tails from the large-mu expansion: mainC/mu + cubicC/mu^3 +
+    # quinticC/mu^5 + O(mu^-7); paired tails reduce to digamma and
+    # Hurwitz-zeta differences
+    Vc = 1.0 / (4.0 * M * k * alpha_j * z)
+    sqVc = np.sqrt(Vc)
+    mainC = -1.0 / sqVc
+    cubicC = -1.0 / (2.0 * np.pi * Vc * sqVc)
+    quinticC = -3.0 / (4.0 * np.pi**2 * Vc * Vc * sqVc)
+    x = ells / step
+    V1 = terms + 1
+    tail = mainC / step * _by_node(digamma(V1 - x) - digamma(V1 + x), z)
+    tail += cubicC / step**3 * _by_node(zeta(3, V1 + x) - zeta(3, V1 - x), z)
+    tail += quinticC / step**5 * _by_node(zeta(5, V1 + x) - zeta(5, V1 - x), z)
+    return partial + tail
+
+
+def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's m-point Gauss-Legendre nodes and weights, mapped to [0, 1]."""
+    from scipy.special import roots_legendre
+
+    x, w = roots_legendre(m)
+    return (x + 1) / 2, w / 2

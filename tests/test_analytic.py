@@ -3,6 +3,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from polytheta import analytic as an
@@ -293,17 +294,22 @@ PV_CASES = [(mu, M, aj, k, arc_z(k, N, frac))
 
 @pytest.mark.parametrize("mu,M,aj,k,z", PV_CASES)
 def test_pv_split_vs_direct_quadrature(mu, M, aj, k, z):
+    # the two package routes against each other and against QUADPACK's
+    # Cauchy-weight principal value
     p = an.PVIntegralParams(mu=mu, M=M, alpha_j=aj, k=k, z=z)
     split = an.pv_integral(p)
     direct = an.pv_integral_direct(p)
+    cauchy = oracles.pv_cauchy_quad(p)
     assert abs(split - direct) / abs(direct) < 1e-9
+    assert abs(split - cauchy) / abs(cauchy) < 1e-12
+    assert abs(direct - cauchy) / abs(cauchy) < 1e-12
 
 
 @pytest.mark.parametrize("mu,M,aj,k,z", PV_CASES)
 def test_pv_closed_form_matches_split(mu, M, aj, k, z):
     p = an.PVIntegralParams(mu=mu, M=M, alpha_j=aj, k=k, z=z)
     split = an.pv_integral(p)
-    closed = an.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
+    closed = oracles.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
     assert abs(split - closed) / abs(split) < 1e-10
 
 
@@ -325,7 +331,7 @@ def test_pv_closed_form_matches_mpmath_quadrature():
         pv = mp.quad(lambda t: (g(mu + t) - g(mu - t)) / t,
                      [0, m / 2, m, 1.5 * m, 2 * m, mp.inf])
         ref = complex(pv + mp.sign(mu) * mp.pi * 1j * g(mu))
-        got = an.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
+        got = oracles.pv_closed_form_batch(np.array([mu]), M, aj, k, z)[0]
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-10, worst
 
@@ -333,8 +339,8 @@ def test_pv_closed_form_matches_mpmath_quadrature():
 def test_pv_odd_in_mu():
     z = arc_z(3, 10, 0.3)
     mus = np.array([1, 2, 6])
-    plus = an.pv_closed_form_batch(mus, 2, 1, 3, z)
-    minus = an.pv_closed_form_batch(-mus, 2, 1, 3, z)
+    plus = oracles.pv_closed_form_batch(mus, 2, 1, 3, z)
+    minus = oracles.pv_closed_form_batch(-mus, 2, 1, 3, z)
     assert np.all(np.abs(plus + minus) < 1e-13)
 
 
@@ -421,6 +427,26 @@ def test_j1_main_term():
         assert rem_plus <= 2.0 * A ** (-1.5)
 
 
+def test_j_integral_matches_quadpack():
+    # the Gauss-Legendre pieces against QUADPACK on the same interval, over
+    # the grids of lemmas 5.4 and 5.5, each difference relative to the
+    # trivial bound (the d >= 1, sign = +1 members are exponentially small)
+    worst = 0.0
+    for d in (0, 1, 2, 3):
+        for sign in (1, -1):
+            for A in (1.0, 5.0, 20.0, 100.0):
+                for z in checks.RECURSION_Z + (0.5 - 0.2j,):
+                    B = A * abs(z) / z
+                    upper = max(2.0, math.sqrt(50.0 / B.real) + (sign == -1))
+                    val, _ = oracles.complex_quad(
+                        lambda x: x ** (-d) * cmath.exp(-B * (x + sign) ** 2),
+                        0.5, upper, points=[1.0], tol=1e-13)
+                    ref = an._factorial_c(d) * (z / (2 * A * abs(z))) ** (d - 1) * val
+                    got = an.j_integral(d, sign, A, z)
+                    worst = max(worst, abs(got - ref) / an.j_trivial_bound(d, A, z))
+    assert worst < 1e-11, worst
+
+
 def test_j_integral_validation():
     with pytest.raises(ValueError):
         an.j_integral(1, 0, 1.0, 1.0 + 0j)
@@ -447,7 +473,7 @@ def test_nu_sum_against_pv_sum_oracle():
         total = an.pv_integral(an.PVIntegralParams(mu=ell, M=M, alpha_j=aj, k=k, z=z))
         V = 600
         shifts = 2 * M * k * np.arange(1, V + 1)
-        total += an.pv_closed_form_batch(
+        total += oracles.pv_closed_form_batch(
             np.concatenate([ell + shifts, ell - shifts]), M, aj, k, z).sum()
         # leftover pure-main tail
         from scipy.special import digamma
@@ -487,12 +513,16 @@ def test_nu_sum_cot_distance_shrinks():
 
 
 def test_nu_sum_batch_matches_scalar():
+    # the Faddeeva nu-sums of the whole window against nu_sum index by
+    # index; at l = Mk, nu_sum is exactly 0
     M, aj, k = 4, 1, 5
     z = arc_z(k, 11, -0.3)
     window = an.lattice_window(M * k)
-    batch = an.nu_sum_batch(window, M, aj, k, z)
-    for ell, val in zip(window[::7], batch[::7]):
-        assert abs(val - an.nu_sum(ell, M, aj, k, z)) < 1e-14
+    batch = oracles.nu_sum_batch(window, M, aj, k, z)
+    for ell, val in zip(window, batch):
+        got = an.nu_sum(ell, M, aj, k, z)
+        assert abs(val - got) <= 1e-13 * max(1.0, abs(val)), ell
+    assert an.nu_sum(M * k, M, aj, k, z) == 0
 
 
 def _nu_sum_reference(ell, M, aj, k, z, pairs=100):
@@ -534,7 +564,7 @@ def test_nu_sum_tail_matches_mpmath():
         refs = [_nu_sum_reference(ell, M, aj, k, z) for ell in ells]
         assert abs(refs[-1]) < 1e-25
         for terms in (8, 24):
-            got = an.nu_sum_batch(ells, M, aj, k, z, terms=terms)
+            got = oracles.nu_sum_batch(ells, M, aj, k, z, terms=terms)
             assert max(abs(g - w) for g, w in zip(got, refs)) < 5e-9, (frac, terms)
 
 
@@ -545,7 +575,7 @@ def test_window_entry_uses_oddness_of_the_nu_sum():
                                     (3, 4, 2, 2, 5, 12, 0.9), (5, 6, 1, 3, 7, 9, 0.1)]:
         z = arc_z(k, N, frac)
         window = an.lattice_window(M * k)
-        sums = an.nu_sum_batch(window, M, aj, k, z)
+        sums = oracles.nu_sum_batch(window, M, aj, k, z)
         whole = 2j / np.pi * (an._gauss_terms(r, M, aj, h, k, np.array(window)) * sums).sum()
         half = an._window_entry(r, M, aj, h, k, z)
         assert abs(half - whole) <= 1e-13 * max(1.0, abs(whole)), (r, M, h, k)
@@ -553,14 +583,6 @@ def test_window_entry_uses_oddness_of_the_nu_sum():
         # S_{-l} = -S_l: l = -1, ..., 1 - Mk against l = 1, ..., Mk - 1
         np.testing.assert_allclose(sums[:M * k - 1][::-1], -sums[M * k - 1:-1],
                                    rtol=1e-13, atol=1e-14)
-
-
-def _fourier_nu_sum(ell, M, aj, k, z):
-    """S_l through the window's Fourier/residue form: ``_window_sum`` of the
-    odd table that is 1 at l and -1 at -l (mod 2Mk), times pi/(2i)."""
-    table = np.zeros(2 * M * k, dtype=complex)
-    table[ell], table[-ell] = 1, -1
-    return an._window_sum(table, M, aj, k, np.asarray(z, dtype=complex)) * np.pi / 2j
 
 
 def test_fourier_nu_sum_matches_mpmath():
@@ -577,16 +599,17 @@ def test_fourier_nu_sum_matches_mpmath():
         z = arc_z(k, N, frac)
         for ell in sorted({1, max(1, M * k // 2), M * k - 1}):
             ref = _nu_sum_reference(ell, M, aj, k, z)
-            got = complex(_fourier_nu_sum(ell, M, aj, k, z))
+            got = an.nu_sum(ell, M, aj, k, z)
             worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-12, worst
 
 
 def _wofz_window(r, M, aj, h, k, zs):
     """The whole window [1 - Mk, -1] u [1, Mk] summed term by term over
-    ``nu_sum_batch`` (the Faddeeva route), at every node of zs."""
+    the oracle's ``nu_sum_batch`` (the Faddeeva route), at every node of
+    zs."""
     window = an.lattice_window(M * k)
-    sums = an.nu_sum_batch(window, M, aj, k, zs)
+    sums = oracles.nu_sum_batch(window, M, aj, k, zs)
     terms = an._gauss_terms(r, M, aj, h, k, np.array(window))
     return 2j / np.pi * (an._by_node(terms, zs) * sums).sum(axis=0)
 
@@ -623,7 +646,7 @@ def test_fourier_nu_sum_tends_to_cot_main_term():
         for eps in (1e-3, 1e-4, 1e-5):
             z = eps * k * (1 - 0.3j)
             dist.append(max(
-                abs(_fourier_nu_sum(ell, M, aj, k, z) - main) / abs(main)
+                abs(an.nu_sum(ell, M, aj, k, z) - main) / abs(main)
                 for ell in range(1, M * k)
                 for main in [an.cot_main_term(ell, M, aj, k, z)]))
         assert dist[1] < dist[0] / 8 and dist[2] < dist[1] / 8, dist
@@ -663,13 +686,13 @@ def test_nu_and_pv_batches_match_scalar_calls_by_column():
         zs = an._arc_z(k, N, phi)
         window = an.lattice_window(M * k)
         mus = np.array([[1, -3], [2 * M * k + 5, -7 * M * k]])
-        pv = an.pv_closed_form_batch(mus, M, aj, k, zs)
-        sums = an.nu_sum_batch(window, M, aj, k, zs, terms=terms)
+        pv = oracles.pv_closed_form_batch(mus, M, aj, k, zs)
+        sums = oracles.nu_sum_batch(window, M, aj, k, zs, terms=terms)
         assert pv.shape == mus.shape + zs.shape
         assert sums.shape == (len(window),) + zs.shape
         for i, z in enumerate(zs.tolist()):
-            assert np.array_equal(pv[..., i], an.pv_closed_form_batch(mus, M, aj, k, z))
-            one = an.nu_sum_batch(window, M, aj, k, z, terms=terms)
+            assert np.array_equal(pv[..., i], oracles.pv_closed_form_batch(mus, M, aj, k, z))
+            one = oracles.nu_sum_batch(window, M, aj, k, z, terms=terms)
             assert np.all(np.abs(sums[:, i] - one) <= 1e-14 * np.maximum(1.0, np.abs(one)))
 
 
@@ -677,17 +700,17 @@ def test_nu_sum_batch_chunks_the_faddeeva_array(monkeypatch):
     # no call holds more than _PV_CHUNK (window x term x node) entries, or
     # one node's worth where that alone is larger
     sizes = []
-    closed = an.pv_closed_form_batch
+    closed = oracles.pv_closed_form_batch
 
     def counted(mus, *args):
         out = closed(mus, *args)
         sizes.append((out.size, np.size(mus)))
         return out
 
-    monkeypatch.setattr(an, "pv_closed_form_batch", counted)
+    monkeypatch.setattr(oracles, "pv_closed_form_batch", counted)
     zs = an._arc_z(5, 11, np.linspace(-0.01, 0.01, 2048))
     for M, k in ((2, 5), (4, 5), (12, 5)):
         sizes.clear()
-        an.nu_sum_batch(an.lattice_window(M * k), M, 1, k, zs)
+        oracles.nu_sum_batch(an.lattice_window(M * k), M, 1, k, zs)
         assert sum(size for size, _ in sizes) == (2 * M * k - 1) * 49 * zs.size
         assert all(size <= max(an._PV_CHUNK, per_node) for size, per_node in sizes)

@@ -249,8 +249,7 @@ def test_contour_transformed_at_one_arc(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that integrate, so commands
-    # that never integrate start without it
+    # the package depends on numpy alone, so no command starts scipy
     src = str(Path(polytheta.__file__).resolve().parents[1])
     code = ("import sys; import polytheta.cli; "
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
