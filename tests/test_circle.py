@@ -10,6 +10,7 @@ import oracles
 import pytest
 
 import polytheta
+from polytheta import analytic
 from polytheta.analytic import (_arc_z, _gauss_factor, _lattice_sum,
                                 _legendre, _unit_phase)
 from polytheta.arith import divisor_sigma
@@ -116,6 +117,27 @@ def test_legendre_rule_matches_scipy_and_mpmath():
         assert abs(w.sum() - 1) <= 1e-15, m
         if m in (16, 512, 1024):
             assert abs(w[0] / float(end_weight(m)) - 1) <= 1e-11, m
+
+
+def test_contour_path_loads_no_scipy():
+    # the Gauss-Legendre rules are built without scipy, so the direct and
+    # transformed contours and the nu-decomposition run without it
+    src = str(Path(polytheta.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import sys
+        from polytheta import circle
+        alpha, J = (1, 1, 1, 1), {1, 2, 3}
+        circle.coefficient_by_contour(
+            circle.series_evaluator(1, 2, alpha, J), 100)
+        circle.coefficient_by_contour(
+            circle.transformed_evaluator(1, 2, alpha, J), 12,
+            circle.ContourConfig(n=12, mode="transformed", tol=1e-8))
+        circle.reconstruct_by_nu(1, 2, alpha, J, 4)
+        sys.exit(any(m.split(".")[0] == "scipy" for m in sys.modules))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
 def test_package_runs_without_scipy():
@@ -289,6 +311,22 @@ def test_transformed_contour_at_n_100_matches_exact_and_direct():
     assert abs(res.value - exact) <= 1e-6
     direct = coefficient_by_contour(series_evaluator(r, M, alpha, J), n)
     assert abs(res.value - direct.value) <= 1e-6
+
+
+def test_contour_path_runs_without_faddeeva():
+    # the off-J window is the Fourier/residue form: the package holds no
+    # Faddeeva route, and the transformed contour and the nu-decomposition
+    # still reproduce exact coefficients
+    for name in ("pv_closed_form_batch", "nu_sum_batch"):
+        assert not hasattr(analytic, name), name
+    r, M, alpha, J = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3})
+    fj = f_J_series(r, M, alpha, J, 100)
+    res = coefficient_by_contour(
+        transformed_evaluator(r, M, alpha, J), 100,
+        ContourConfig(n=100, mode="transformed", tol=1e-8))
+    assert abs(res.value - float(fj.coeff(100))) <= 1e-6
+    val, _ = reconstruct_by_nu(r, M, alpha, J, 4)
+    assert abs(val - float(fj.coeff(4))) <= 1e-6
 
 
 def test_transformed_contour_mixed_alpha():
