@@ -9,7 +9,6 @@ where a check would pass vacuously.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -167,14 +166,12 @@ def farey_structure(N_max: int, properties) -> tuple[int, tuple | None]:
         raise ValueError(f"need N >= 1, got {N_max}")
     checked = 0
     for N in range(1, N_max + 1):
-        arcs = farey.arcs(N)
-        cols = np.fromiter(itertools.chain.from_iterable(arcs), np.int64,
-                           7 * len(arcs)).reshape(-1, 7)  # np.array(arcs)
+        cols = farey._arc_columns(N)
         for name in properties:
             bad = np.flatnonzero(FAREY_PROPERTIES[name](*cols.T))
             if bad.size:
                 return checked, (N, *cols[bad[0], :2].tolist(), name)
-        checked += len(arcs)
+        checked += len(cols)
     return checked, None
 
 

@@ -40,7 +40,7 @@ from .analytic import (_arc_z, _gauss_factor, _lattice_sum, _legendre,
                        _unit_phase, false_theta_eval_transformed,
                        theta_eval_transformed)
 from .arith import gauss_sum_table
-from .farey import arcs, rho_congruence
+from .farey import _arc_columns, rho_congruence
 from .series import FULL_J
 
 __all__ = [
@@ -93,7 +93,7 @@ def _arc_walk(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (A, 1) int64 arrays and sides = [-theta_left, theta_right] as an (A, 2)
     array, each side one true division of integers, so the correctly
     rounded value of its exact ``farey.FareyArc`` fraction."""
-    h, k, _, k1, _, k2, _ = np.array(arcs(N), dtype=np.int64).T
+    h, k, _, k1, _, k2, _ = _arc_columns(N).T
     sides = np.stack([-1 / (k * (k + k1)), 1 / (k * (k + k2))], axis=1)
     order = np.lexsort((h, k))
     return h[order, None], k[order, None], sides[order]

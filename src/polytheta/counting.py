@@ -64,9 +64,6 @@ class CountDomain:
     def at_least(cls, c: int) -> "CountDomain":
         return cls(lower=c)
 
-    def contains(self, x: int) -> bool:
-        return self.lower is None or x >= self.lower
-
     def __str__(self) -> str:
         if self.lower is None:
             return "all"
@@ -131,10 +128,6 @@ class CongruenceInstance:
     @property
     def alpha_sum(self) -> int:
         return sum(self.alpha)
-
-    @property
-    def domain(self) -> CountDomain:
-        return CountDomain(lower=self.lower_bound)
 
 
 def polygonal_number(m: int, ell: int) -> int:
@@ -287,7 +280,7 @@ def _count_table(inst: CongruenceInstance, nmax: int, stride: int = 1,
         acc += np.bincount(_pair_sums(first[i:i + rows], second, nmax),
                            minlength=nmax + 1)
     for vals in rest:
-        if int(acc.max()) * vals.size > _INT64_GUARD:
+        if int(acc.max(initial=0)) * vals.size > _INT64_GUARD:
             raise OverflowGuardError(
                 "batch count exceeds the checked 64-bit range; "
                 "reduce nmax or count per index with exact big ints"

@@ -8,9 +8,12 @@ are exact rationals, so measure bookkeeping is exact.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = ["FareyArc", "farey_sequence", "arcs", "rho_congruence"]
 
@@ -80,6 +83,14 @@ def arcs(N: int) -> list[FareyArc]:
     right = seq[1:] + [(1, 1)]
     return [FareyArc(h, k, h1, k1, h2, k2, N)
             for (h, k), (h1, k1), (h2, k2) in zip(seq, left, right)]
+
+
+def _arc_columns(N: int) -> np.ndarray:
+    """``arcs(N)`` as an (A, 7) int64 array, one arc a row, in the field
+    order of ``FareyArc``."""
+    rows = arcs(N)
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                       7 * len(rows)).reshape(-1, 7)
 
 
 def rho_congruence(h: int, k: int, N: int) -> int:

@@ -1,26 +1,26 @@
-"""Integer-exponent q-expansion toolkit: eta powers, the weight-two
-Eisenstein expansion, character twists, the U/V index operators, and the
-exact split of the unrestricted-count generating series into an Eisenstein
-progression plus an eta-power cusp expansion.
+"""Integer-exponent q-expansions as integer arrays indexed by exponent: eta
+powers from one sparse product kernel, the weight-two Eisenstein identity of
+the 1 (mod 6) divisor-sum progression, and the exact split of the
+unrestricted-count generating series into an Eisenstein progression plus an
+eta-power cusp expansion.
 
-All series here live on the integer lattice (D = 1) with exact coefficients.
+An array t stands for sum_{w < order} t[w] q^w; only ``eta_power`` returns a
+``QSeries``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import divisor_sigma, kronecker, sigma_table, twisted_divisor_sum_8
-from .counting import CongruenceInstance, squares_count_table
+from .counting import _INT64_GUARD, CongruenceInstance, squares_count_table
 from .qseries import QSeries
 
 __all__ = [
     "eta_power",
-    "eisenstein_E2",
-    "twist",
-    "U_op",
-    "V_op",
-    "eisenstein_progression",
     "e_series_identity_check",
     "ThetaSplitReport",
     "verify_theta_split",
@@ -28,10 +28,41 @@ __all__ = [
 ]
 
 
-def _integer_series(f: QSeries, name: str) -> QSeries:
-    if f.D != 1:
-        raise ValueError(f"{name} needs an integer-exponent series, got D={f.D}")
-    return f
+def _need_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"need order >= 1, got {order}")
+
+
+def _eta_table(a: int, p: int, order: int) -> np.ndarray:
+    """Coefficients of eta(a tau)^p = q^(a p/24) prod_{n>=1} (1 - q^(a n))^p
+    at q^w, w < order, for 24 | a p.
+
+    The product is P(q^a) with P(x) = prod (1 - x^n)^p, the product of p // 3
+    of Jacobi's cubes sum_{k>=0} (-1)^k (2k+1) x^(k(k+1)/2) and p % 3 of
+    Euler's series sum_j (-1)^j x^(j(3j-1)/2) (Hardy & Wright, ch. XIX); each
+    factor is one shifted add of the running table per term.  The table is
+    int64 while the product of the factors' sums of |coefficient| stays
+    below the counting guard (no entry or partial sum can pass it), else
+    Python ints.
+    """
+    shift = a * p // 24
+    n = max(0, -(-(order - shift) // a))  # exponents of x = q^a below order
+    ks = range(-math.isqrt(2 * n) - 1, math.isqrt(2 * n) + 2)
+    cube = [(k * (k + 1) // 2, (-1) ** (k % 2) * (2 * k + 1)) for k in ks if k >= 0]
+    euler = [(k * (3 * k - 1) // 2, (-1) ** (k % 2)) for k in ks]
+    factors = [[(e, c) for e, c in f if e < n]
+               for f in [cube] * (p // 3) + [euler] * (p % 3)]
+    bound = math.prod(sum(abs(c) for _, c in f) for f in factors)
+    prod = np.zeros(n, dtype=np.int64 if bound < _INT64_GUARD else object)
+    prod[:1] = 1
+    for terms in factors:
+        out = np.zeros_like(prod)
+        for e, c in terms:
+            out[e:] += c * prod[:n - e]
+        prod = out
+    table = np.zeros(order, dtype=prod.dtype)
+    table[shift::a] = prod
+    return table
 
 
 def eta_power(argument_multiplier: int, power: int, order: int) -> QSeries:
@@ -39,8 +70,7 @@ def eta_power(argument_multiplier: int, power: int, order: int) -> QSeries:
 
     The dedekind-eta prefactor keeps all exponents integral exactly when
     24 | a*p; other combinations are rejected.  Coefficients are exact
-    integers, built from the sparse pentagonal-number expansion of the
-    product and repeated squaring.
+    integers, the nonzero entries of ``_eta_table``.
     """
     a, p = argument_multiplier, power
     if a < 1 or p < 1:
@@ -48,86 +78,29 @@ def eta_power(argument_multiplier: int, power: int, order: int) -> QSeries:
     if (a * p) % 24:
         raise ValueError(
             f"exponent lattice is not integral: a*p = {a * p} is not divisible by 24")
-    # prod (1 - q^(a n)) = sum_j (-1)^j q^(a j (3j-1)/2)
-    base: dict[int, int] = {}
-    j = 0
-    while True:
-        done = True
-        for jj in (j, -j) if j else (0,):
-            e = a * jj * (3 * jj - 1) // 2
-            if e < order:
-                base[e] = base.get(e, 0) + (-1) ** (jj % 2)
-                done = False
-        if done and j > 0:
-            break
-        j += 1
-    f = QSeries(1, order, base)
-    out = QSeries.one(1, order)
-    g, e = f, p
-    while e:
-        if e & 1:
-            out = (out * g).truncate(order)
-        e >>= 1
-        if e:
-            g = (g * g).truncate(order)
-    return out.shift(a * p // 24).truncate(order)
-
-
-def eisenstein_E2(order: int) -> QSeries:
-    """1 - 24 sum_{n>=1} sigma(n) q^n."""
-    sig = sigma_table(max(order - 1, 0))
-    coeffs = {0: 1}
-    for n in range(1, order):
-        coeffs[n] = -24 * int(sig[n])
-    return QSeries(1, order, coeffs)
-
-
-def twist(f: QSeries, D: int) -> QSeries:
-    """Coefficientwise twist by the Kronecker character n -> (D/n)."""
-    f = _integer_series(f, "twist")
-    return QSeries(1, f.order,
-                   {n: kronecker(D, n) * c for n, c in f.coeffs.items()})
-
-
-def U_op(f: QSeries, delta: int) -> QSeries:
-    """Index contraction: coefficient at n becomes the old one at delta*n."""
-    f = _integer_series(f, "U_op")
-    if delta < 1:
-        raise ValueError(f"need delta >= 1, got {delta}")
-    order = (f.order + delta - 1) // delta
-    return QSeries(1, order,
-                   {n // delta: c for n, c in f.coeffs.items() if n % delta == 0})
-
-
-def V_op(f: QSeries, delta: int) -> QSeries:
-    """Index dilation: coefficient moves from n to delta*n."""
-    f = _integer_series(f, "V_op")
-    if delta < 1:
-        raise ValueError(f"need delta >= 1, got {delta}")
-    order = delta * (f.order - 1) + 1 if f.order > 0 else f.order * delta
-    return QSeries(1, order, {delta * n: c for n, c in f.coeffs.items()})
-
-
-def eisenstein_progression(order: int) -> QSeries:
-    """sum over n = 1 (mod 6) of sigma(n) q^n."""
-    sig = sigma_table(max(order - 1, 0))
-    return QSeries(1, order,
-                   {n: int(sig[n]) for n in range(1, order, 6)})
+    _need_order(order)
+    table = _eta_table(a, p, order)
+    return QSeries(1, order, {int(w): int(table[w]) for w in np.flatnonzero(table)})
 
 
 def e_series_identity_check(order: int = 1000) -> bool:
-    """Exact check that the progression series equals
-    -(1/48) (E2 twisted by chi_-3 + E2 twisted by chi_-3^2) with the
-    even-index part removed (1 - U_2 V_2)."""
-    e2 = eisenstein_E2(order)
-    t1 = twist(e2, -3)
-    sq = QSeries(1, e2.order,
-                 {n: kronecker(-3, n) ** 2 * c for n, c in e2.coeffs.items()})
-    combo = t1 + sq
-    combo = combo - V_op(U_op(combo, 2), 2)
-    rhs = Fraction(-1, 48) * combo
-    ok, _ = eisenstein_progression(order).agree(rhs)
-    return ok
+    """Exact check, on exponents n < order, that 48 times the progression
+    sum over n = 1 (mod 6) of sigma(n) q^n equals -(chi + chi^2) E2 with its
+    even-index part removed, where chi = (-3/n) and E2 = 1 - 24 sum sigma(n)
+    q^n.
+
+    E2 reads the divisor-sum sieve and the progression reads ``divisor_sigma``
+    at each of its indices, so the two sides share no table.
+    """
+    _need_order(order)
+    chi = np.fromiter((kronecker(-3, n) for n in range(order)), np.int64, order)
+    e2 = -24 * sigma_table(order - 1)
+    e2[0] = 1
+    lhs = -(chi + chi * chi) * e2
+    lhs[::2] = 0
+    rhs = np.zeros(order, dtype=np.int64)
+    rhs[1::6] = [48 * divisor_sigma(n) for n in range(1, order, 6)]
+    return bool(np.array_equal(lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -143,23 +116,18 @@ def verify_theta_split(order: int = 200) -> ThetaSplitReport:
     (2/3) [progression series at w/4] + (1/3) [eta(24 tau)^4 at w].
 
     Counts come from the brute-force convolution table, so both sides are
-    independent integer computations; the comparison is 3*s = 2*e + c with
-    everything integral.
+    independent integer computations; the comparison is 3*s = 2*e + c on
+    integer arrays, and ``first_mismatch`` is the first w where it fails.
     """
-    if order < 1:
-        raise ValueError(f"need order >= 1, got {order}")
+    _need_order(order)
     inst = CongruenceInstance(r=5, M=6, alpha=(1, 1, 1, 1))
     s_star = squares_count_table(inst, order - 1)
-    eta4 = eta_power(24, 4, order)
-    sig = sigma_table(max((order - 1) // 4, 1))
-    for w in range(order):
-        e_coeff = 0
-        if w % 4 == 0 and w > 0 and (w // 4) % 6 == 1:
-            e_coeff = int(sig[w // 4])
-        c_coeff = int(eta4.coeff(w)) if w < eta4.order else 0
-        if 3 * int(s_star[w]) != 2 * e_coeff + c_coeff:
-            return ThetaSplitReport(ok=False, first_mismatch=w, order=order)
-    return ThetaSplitReport(ok=True, first_mismatch=None, order=order)
+    eis = np.zeros(order, dtype=np.int64)
+    m = np.arange(1, (order - 1) // 4 + 1, 6)  # 4m < order, m = 1 (mod 6)
+    eis[4 * m] = sigma_table(max((order - 1) // 4, 1))[m]
+    bad = np.flatnonzero(3 * s_star != 2 * eis + _eta_table(24, 4, order))
+    first = int(bad[0]) if bad.size else None
+    return ThetaSplitReport(ok=first is None, first_mismatch=first, order=order)
 
 
 def corollary_main_terms(which: str, n: int) -> Fraction:

@@ -78,9 +78,6 @@ def false_theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> 
 def _square_count_series(r: int, M: int, alpha: tuple[int, int, int, int],
                          truncation: Rational, lower: int | None) -> QSeries:
     order = _ceil_index(truncation, M)
-    # QSeries products of the four one-variable factors, each known below a
-    # negative index, are known only below four times it; keep that order
-    order = min(order, 4 * order)
     table = squares_count_table(
         CongruenceInstance(r, M, alpha, lower_bound=lower), max(order - 1, -1))
     return QSeries(M, order, {int(i): int(table[i]) for i in np.flatnonzero(table)})

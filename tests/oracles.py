@@ -7,7 +7,9 @@ These are the independent routes it is compared with: QUADPACK
 value, the Faddeeva closed form with digamma and Hurwitz-zeta tails
 (``scipy.special``) for the principal values and their nu-sums, and
 scipy's Gauss-Legendre nodes for the rules.  scipy is a test dependency
-only; each oracle imports it when called.
+only; each oracle imports it when called.  ``eta_power`` is the dict-series
+route to eta powers (pentagonal expansion and repeated ``QSeries``
+squaring) that ``modforms._eta_table`` is held against.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from polytheta.analytic import _PV_CHUNK, PVIntegralParams, _by_node
+from polytheta.qseries import QSeries
 
 
 def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None,
@@ -126,3 +129,42 @@ def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
     x, w = roots_legendre(m)
     return (x + 1) / 2, w / 2
+
+
+def eta_power(argument_multiplier: int, power: int, order: int) -> QSeries:
+    """q^(a p / 24) prod_{n>=1} (1 - q^(a n))^p with a p = 0 (mod 24).
+
+    The dedekind-eta prefactor keeps all exponents integral exactly when
+    24 | a*p; other combinations are rejected.  Coefficients are exact
+    integers, built from the sparse pentagonal-number expansion of the
+    product and repeated squaring.
+    """
+    a, p = argument_multiplier, power
+    if a < 1 or p < 1:
+        raise ValueError("argument multiplier and power must be positive")
+    if (a * p) % 24:
+        raise ValueError(
+            f"exponent lattice is not integral: a*p = {a * p} is not divisible by 24")
+    # prod (1 - q^(a n)) = sum_j (-1)^j q^(a j (3j-1)/2)
+    base: dict[int, int] = {}
+    j = 0
+    while True:
+        done = True
+        for jj in (j, -j) if j else (0,):
+            e = a * jj * (3 * jj - 1) // 2
+            if e < order:
+                base[e] = base.get(e, 0) + (-1) ** (jj % 2)
+                done = False
+        if done and j > 0:
+            break
+        j += 1
+    f = QSeries(1, order, base)
+    out = QSeries.one(1, order)
+    g, e = f, p
+    while e:
+        if e & 1:
+            out = (out * g).truncate(order)
+        e >>= 1
+        if e:
+            g = (g * g).truncate(order)
+    return out.shift(a * p // 24).truncate(order)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from polytheta.arith import euler_phi
 from polytheta.checks import FAREY_PROPERTIES, farey_structure
-from polytheta.farey import FareyArc, arcs, farey_sequence, rho_congruence
+from polytheta.farey import (FareyArc, _arc_columns, arcs, farey_sequence,
+                             rho_congruence)
 
 
 def test_sequence_order_five():
@@ -28,6 +29,13 @@ def test_sequence_is_sorted_reduced_and_complete():
 
 def test_sequence_count_order_100():
     assert len(farey_sequence(100)) == 1 + sum(euler_phi(k) for k in range(2, 101))
+
+
+def test_arc_columns_are_the_arc_fields():
+    for N in range(1, 61):
+        cols = _arc_columns(N)
+        assert cols.dtype == np.int64 and cols.shape == (len(arcs(N)), 7)
+        assert np.array_equal(cols, np.array(arcs(N), dtype=np.int64)), N
 
 
 def test_adjacency_determinants():

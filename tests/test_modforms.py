@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from polytheta import modforms as mf
-from polytheta.arith import divisor_sigma, phi_table, twisted8_table
+from polytheta.arith import (divisor_sigma, kronecker, phi_table,
+                             twisted8_table)
 from polytheta.checks import FAMILIES, main_term_table
 from polytheta.circle import error_exponent_fit
-from polytheta.qseries import QSeries
 
 
 def brute_product_fourth_power(kmax: int) -> list[int]:
@@ -59,6 +60,37 @@ def test_eta_power_rejects_fractional_lattice():
     assert mf.eta_power(24, 3, 80).coeff(3) == 1
 
 
+@pytest.mark.parametrize("a, p, order", [
+    (24, 4, 20_000), (24, 1, 3000), (8, 3, 3000), (2, 12, 200), (24, 3, 500),
+    (1, 24, 300)])
+def test_eta_power_matches_squaring_oracle(a, p, order):
+    got, ref = mf.eta_power(a, p, order), oracles.eta_power(a, p, order)
+    assert (got.D, got.order, got.coeffs) == (ref.D, ref.order, ref.coeffs)
+    assert all(type(c) is int for c in got.coeffs.values())
+    # eta(tau)^24's factors pass the int64 bound at order 300: Python ints
+    assert mf._eta_table(a, p, order).dtype == (object if p == 24 else np.int64)
+
+
+def test_eta_closed_forms():
+    # eta(24 tau) = sum chi_12(n) q^(n^2); eta(8 tau)^3 = sum chi_-4(n) n q^(n^2)
+    order = 20_000
+    for a, p, weight in ((24, 1, lambda n: kronecker(12, n)),
+                         (8, 3, lambda n: kronecker(-4, n) * n)):
+        ref = {n * n: weight(n) for n in range(1, order)
+               if n * n < order and weight(n)}
+        assert mf.eta_power(a, p, order).coeffs == ref, (a, p)
+
+
+@pytest.mark.parametrize("order", [0, -5])
+def test_bad_order_fails_clearly(order):
+    with pytest.raises(ValueError, match="need order >= 1"):
+        mf.eta_power(24, 4, order)
+    with pytest.raises(ValueError, match="need order >= 1"):
+        mf.e_series_identity_check(order)
+    with pytest.raises(ValueError, match="need order >= 1"):
+        mf.verify_theta_split(order)
+
+
 def test_eta4_empirical_coefficient_growth():
     # |a(n)| stays within a mild power of n (spot check of the square-root
     # cusp-form scaling; exponent fitted, not assumed)
@@ -70,59 +102,42 @@ def test_eta4_empirical_coefficient_growth():
     assert ratio < 3.0
 
 
-def test_eisenstein_E2_expansion():
-    f = mf.eisenstein_E2(6)
-    assert f.coeff(0) == 1
-    for n in range(1, 6):
-        assert f.coeff(n) == -24 * divisor_sigma(n)
-
-
-def test_twist_by_quadratic_character():
-    e2 = mf.eisenstein_E2(12)
-    t = mf.twist(e2, -3)
-    from polytheta.arith import kronecker
-    assert t.coeff(0) == 0  # chi(0) = 0
-    for n in range(1, 12):
-        assert t.coeff(n) == kronecker(-3, n) * (-24) * divisor_sigma(n)
-
-
-def test_U_then_V_keeps_even_part():
-    f = QSeries(1, 9, {0: 3, 1: 5, 2: -2, 3: 7, 4: 1, 6: 4, 7: -1})
-    g = mf.V_op(mf.U_op(f, 2), 2)
-    for n in range(g.order):
-        expect = f.coeff(n) if n % 2 == 0 else 0
-        assert g.coeff(n) == expect
-
-
-def test_U_V_index_maps():
-    f = QSeries(1, 10, {0: 1, 3: 2, 6: 5, 9: -1})
-    u3 = mf.U_op(f, 3)
-    assert [u3.coeff(n) for n in range(u3.order)] == [1, 2, 5, -1]
-    v2 = mf.V_op(f, 2)
-    assert v2.coeff(6) == 2 and v2.coeff(12) == 5 and v2.coeff(1) == 0
-
-
-def test_eisenstein_progression_values():
-    e = mf.eisenstein_progression(50)
-    for n in range(1, 50):
-        expect = divisor_sigma(n) if n % 6 == 1 else 0
-        assert e.coeff(n) == expect
+ORDERS = (1, 29, 200, 1001, 2000, 20_000, 100_000)
 
 
 def test_e_series_composite_identity_exact():
-    assert mf.e_series_identity_check(1001)
+    for order in ORDERS:
+        assert mf.e_series_identity_check(order), order
 
 
-def test_theta_split_exact_and_mutation_detected():
-    rep = mf.verify_theta_split(200)
-    assert rep.ok and rep.first_mismatch is None
-    # a perturbed eta coefficient cannot satisfy the integer comparison:
-    # recheck by direct recomputation at one index
-    from polytheta.counting import CongruenceInstance, squares_count_table
-    s = squares_count_table(CongruenceInstance(r=5, M=6, alpha=(1, 1, 1, 1)), 28)
-    eta4 = mf.eta_power(24, 4, 29)
-    assert 3 * int(s[28]) == 2 * divisor_sigma(7) + int(eta4.coeff(28))
-    assert 3 * int(s[28]) != 2 * divisor_sigma(7) + int(eta4.coeff(28)) + 1
+def test_e_series_identity_detects_perturbed_sigma(monkeypatch):
+    # E2 reads the sieve and the progression reads divisor_sigma, so one
+    # wrong sieve entry at n = 1 (mod 6) breaks the identity there
+    sieve = mf.sigma_table
+
+    def perturbed(nmax):
+        t = sieve(nmax)
+        t[7] += 1
+        return t
+    monkeypatch.setattr(mf, "sigma_table", perturbed)
+    assert not mf.e_series_identity_check(200)
+
+
+def test_theta_split_exact_and_mutation_detected(monkeypatch):
+    for order in ORDERS:
+        rep = mf.verify_theta_split(order)
+        assert rep.ok and rep.first_mismatch is None and rep.order == order
+    # negative control: one perturbed cusp coefficient, on the 4 (mod 24)
+    # progression or off it, is the first mismatch
+    table = mf._eta_table
+    for w in (28, 101):
+        def perturbed(a, p, order, w=w):
+            t = table(a, p, order)
+            t[w] += 1
+            return t
+        monkeypatch.setattr(mf, "_eta_table", perturbed)
+        rep = mf.verify_theta_split(200)
+        assert not rep.ok and rep.first_mismatch == w
 
 
 def test_theta_split_on_progression():
@@ -169,11 +184,3 @@ def test_twisted_main_term_positive_via_phi():
     tw = twisted8_table(8 * 10_000 + 5)
     m = np.arange(5, 8 * 10_000 + 6, 8)
     assert (-tw[m] >= phi[m]).all()
-
-
-def test_operators_reject_fractional_lattice():
-    f = QSeries(2, 8, {1: 1})
-    with pytest.raises(ValueError):
-        mf.U_op(f, 2)
-    with pytest.raises(ValueError):
-        mf.twist(f, -3)

@@ -179,3 +179,13 @@ def test_one_sided_series_respects_lower_bound():
     assert f.coeff(Fraction(4, 6)) == 0
     assert g.coeff(Fraction(4, 6)) == 1
     assert f.coeff(Fraction(100, 6)) == 1
+
+
+def test_count_series_keep_a_non_positive_truncation_order():
+    # a truncation t <= 0 leaves nothing known: the series is empty with
+    # order ceil(t * M), the same as the truncation asked for
+    alpha = (1, 1, 1, 1)
+    for make in (partial_theta_series, star_theta_series):
+        for t, order in ((-3, -6), (Fraction(-3, 4), -1), (0, 0)):
+            f = make(1, 2, alpha, t)
+            assert (f.D, f.order, f.coeffs) == (2, order, {}), (make, t)
