@@ -4,10 +4,21 @@ Everything here is exact except the Gauss sums, which are complex sums of
 unit-modulus terms evaluated in double precision after reducing all phases
 modulo the denominator in integer arithmetic.
 
-The divisor-sum tables (``sigma_table``, ``twisted8_table`` and through them
-``jacobi_four_square_table``) sieve by divisor pairs: every divisor d <= sqrt(n)
-of n is paired with its cofactor n/d, as in Dirichlet's hyperbola method, so
-a table to nmax takes isqrt(nmax) numpy slice steps instead of nmax.
+The divisor-sum tables (``sigma_table``, ``twisted8_table`` and
+``jacobi_four_square_table``) share one sieve, ``_odd_divisor_sum``, over the
+odd n alone.  Every divisor of an odd n is odd, and each odd divisor d <=
+sqrt(n) is paired with its cofactor n/d, as in Dirichlet's hyperbola method,
+so the odd half of a table to nmax takes about isqrt(nmax)/2 pairs of numpy
+slice steps on half-length arrays.  The even n = 2^k m (m odd) are read off
+their odd part by multiplicativity (Hardy & Wright, ch. XVI), one strided
+lift in place per power of two:
+
+* sigma(2^k m) = (2^(k+1) - 1) sigma(m);
+* the (8/d)-twisted sum ignores 2^k, since (8/d) = 0 at every even d;
+* r_4(m) = 8 sigma(m) and r_4(2^k m) = 24 sigma(m) for k >= 1.
+
+Every table builder here and in ``counting`` takes nmax >= -1: nmax = -1 is
+the empty int64 table, and a lower nmax raises ``ValueError``.
 """
 from __future__ import annotations
 
@@ -146,28 +157,87 @@ def twisted_divisor_sum_8(n: int) -> int:
     return sum(kronecker(8, d) * d for d in divisors(n))
 
 
-def _divisor_pair_sum(w: np.ndarray) -> np.ndarray:
-    """sum_{d|n} w[d] for 0 <= n < len(w) as int64 (index 0 set to 0).
+def _empty_table(nmax: int) -> bool:
+    """Whether the table over 0 <= n <= nmax is empty (nmax = -1).
 
-    Each n = d*q with d <= q is visited once from its smaller divisor d <=
-    isqrt(nmax): the first slice adds the cofactor term w[q] for every q >= d,
-    the second the divisor term w[d] for every q > d (q == d is one divisor).
+    The one size rule of the table builders here and in ``counting``:
+    nmax = -1 gives an empty int64 table, and nmax < -1 is refused.
     """
-    nmax = len(w) - 1
-    out = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, isqrt(max(nmax, 0)) + 1):
-        out[d * d::d] += w[d:nmax // d + 1]
-        out[d * d + d::d] += w[d]
+    if nmax < -1:
+        raise ValueError(f"table needs nmax >= -1, got nmax={nmax}")
+    return nmax == -1
+
+
+def _odd_divisor_sum(w_odd: np.ndarray, nmax: int) -> np.ndarray:
+    """sum_{d|n} w(d) for the odd 1 <= n <= nmax, at index (n-1)/2, from the
+    weights of odd k, w_odd[(k-1)/2] = w(k), as int64.
+
+    Every divisor of an odd n is odd, so each n = d*q with d <= q is visited
+    once from its smaller divisor, an odd d <= isqrt(nmax).  The odd q >= d
+    step by 2 and their products d*q by 2d, that is by d in half-length
+    arrays: the first slice adds the cofactor term w(q) for every q >= d, the
+    second the divisor term w(d) for every q > d (q == d is one divisor).
+    """
+    out = np.zeros(len(w_odd), dtype=np.int64)
+    for d in range(1, isqrt(max(nmax, 0)) + 1, 2):
+        seg = out[d * d // 2::d]  # n = d*q for q = d, d + 2, d + 4, ...
+        seg += w_odd[d // 2:d // 2 + len(seg)]
+        out[d * d // 2 + d::d] += w_odd[d // 2]
+    return out
+
+
+def _sigma_odd(nmax: int) -> np.ndarray:
+    """sigma(n) for the odd 1 <= n <= nmax, at index (n-1)/2."""
+    return _odd_divisor_sum(np.arange(1, nmax + 1, 2, dtype=np.int64), nmax)
+
+
+def _twisted8_odd(nmax: int) -> np.ndarray:
+    """sum_{d|n} (8/d) d for the odd 1 <= n <= nmax, at index (n-1)/2."""
+    # weight (8/k) k of odd k = 2i + 1: -k for k = 3, 5 (mod 8), i = 1, 2 (mod 4)
+    w = np.arange(1, nmax + 1, 2, dtype=np.int64)
+    w[1::4] *= -1
+    w[2::4] *= -1
+    return _odd_divisor_sum(w, nmax)
+
+
+def _from_odd_part(odd_sieve, nmax: int, factor) -> np.ndarray:
+    """int64 table f(n) for 0 <= n <= nmax (entry 0 set to 0) of an f with
+    f(p*m) = factor(p) * f(m) for odd m and every power of two p >= 2.
+
+    The odd entries come from ``odd_sieve(nmax)``.  The table is allocated
+    only after the sieve has freed its weights, and the half-length array of
+    odd entries is freed once copied in, so the peak is the table plus that
+    one array.  Each p is then one strided lift in place, about log2(nmax) in
+    all.
+    """
+    odd = odd_sieve(nmax)
+    out = np.empty(nmax + 1, dtype=np.int64)
+    out[1::2] = odd
+    del odd
+    out[0] = 0
+    p = 2
+    while p <= nmax:
+        lifted = out[p::2 * p]
+        np.multiply(out[1:2 * len(lifted):2], factor(p), out=lifted)
+        p *= 2
     return out
 
 
 def sigma_table(nmax: int) -> np.ndarray:
-    """sigma(n) for 0 <= n <= nmax as int64 (index 0 unused, set to 0)."""
-    return _divisor_pair_sum(np.arange(nmax + 1, dtype=np.int64))
+    """sigma(n) for 0 <= n <= nmax as int64 (index 0 unused, set to 0).
+
+    The odd n are sieved on their own (``_odd_divisor_sum``); each even n =
+    2^k m with m odd is then lifted by sigma(2^k m) = (2^(k+1) - 1) sigma(m).
+    """
+    if _empty_table(nmax):
+        return np.zeros(0, dtype=np.int64)
+    return _from_odd_part(_sigma_odd, nmax, lambda p: 2 * p - 1)
 
 
 def phi_table(nmax: int) -> np.ndarray:
     """Euler phi(n) for 0 <= n <= nmax as int64 (index 0 set to 0)."""
+    if _empty_table(nmax):
+        return np.zeros(0, dtype=np.int64)
     phi = np.arange(nmax + 1, dtype=np.int64)
     phi[0] = 0
     for p in range(2, nmax + 1):
@@ -177,24 +247,29 @@ def phi_table(nmax: int) -> np.ndarray:
 
 
 def twisted8_table(nmax: int) -> np.ndarray:
-    """sum_{d|n} (8/d) d for 0 <= n <= nmax; even d contribute 0."""
-    # weight (8/k) k: 0 for even k, -k for k = 3, 5 (mod 8), k otherwise
-    w = np.arange(nmax + 1, dtype=np.int64)
-    w[::2] = 0
-    w[3::8] *= -1
-    w[5::8] *= -1
-    return _divisor_pair_sum(w)
+    """sum_{d|n} (8/d) d for 0 <= n <= nmax; even d contribute 0.
+
+    The odd n are sieved on their own (``_odd_divisor_sum``); the twisted
+    sum of an even n = 2^k m with m odd is that of m, since (8/d) = 0 for
+    every even divisor d.
+    """
+    if _empty_table(nmax):
+        return np.zeros(0, dtype=np.int64)
+    return _from_odd_part(_twisted8_odd, nmax, lambda p: 1)
 
 
 def jacobi_four_square_table(nmax: int) -> np.ndarray:
     """8 * sum of divisors of n not divisible by 4, for 0 <= n <= nmax.
 
     Entry 0 is set to 1 (the empty representation count), matching the number
-    of ways to write 0 as a sum of four squares.
+    of ways to write 0 as a sum of four squares.  For odd m the divisors of m
+    not divisible by 4 are all of them, and those of 2^k m (k >= 1) are the
+    d and 2d with d | m: the table is 8 sigma(m) at m and 24 sigma(m) at 2^k m,
+    lifted from the one odd sieve of ``sigma_table``.
     """
-    sig = sigma_table(nmax)
-    out = 8 * sig
-    idx4 = np.arange(0, nmax + 1, 4)
-    out[idx4] -= 32 * sig[idx4 // 4]
+    if _empty_table(nmax):
+        return np.zeros(0, dtype=np.int64)
+    out = _from_odd_part(_sigma_odd, nmax, lambda p: 3)
+    out *= 8
     out[0] = 1
     return out

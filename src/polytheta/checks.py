@@ -185,15 +185,18 @@ FAMILIES = {
 
 def main_term_table(which: str, nmax: int) -> np.ndarray:
     """``modforms.corollary_main_terms(which, n)`` as floats for n <= nmax,
-    from one divisor-sum sieve."""
+    from one divisor-sum sieve over the odd arguments alone.
+
+    The arguments 2n+1, 6n+1 and 8n+5 are odd, at indices n, 3n and 4n+2 of
+    the odd sieve, so no even entry is sieved or lifted."""
     if nmax < 0:
         raise ValueError(f"need nmax >= 0, got {nmax}")
     if which == "hexagonal":
-        return arith.sigma_table(2 * nmax + 1)[1::2].astype(float) / 16.0
+        return arith._sigma_odd(2 * nmax + 1).astype(float) / 16.0
     if which == "pentagonal":
-        return arith.sigma_table(6 * nmax + 1)[1::6].astype(float) / 24.0
+        return arith._sigma_odd(6 * nmax + 1)[::3].astype(float) / 24.0
     if which == "hexagonal2":
-        return -arith.twisted8_table(8 * nmax + 5)[5::8].astype(float) / 64.0
+        return -arith._twisted8_odd(8 * nmax + 5)[2::4].astype(float) / 64.0
     raise ValueError(f"unknown main-term family: {which!r}")
 
 

@@ -31,6 +31,8 @@ from math import isqrt
 
 import numpy as np
 
+from .arith import _empty_table
+
 __all__ = [
     "CountDomain",
     "ALL_INTEGERS",
@@ -295,12 +297,16 @@ def _count_table(inst: CongruenceInstance, nmax: int, stride: int = 1,
 def polygonal_count_table(inst: PolygonalInstance, nmax: int,
                           domain: CountDomain) -> np.ndarray:
     """Counts for all 0 <= n <= nmax at once (exact; same values as
-    count_polygonal)."""
+    count_polygonal).  nmax = -1 gives an empty table; lower raises."""
     cong, stride, offset = _square_image(inst, domain)
+    if _empty_table(nmax):
+        return np.zeros(0, dtype=np.int64)
     return _count_table(cong, nmax, stride, offset)
 
 
 def squares_count_table(inst: CongruenceInstance, nmax: int) -> np.ndarray:
     """Counts for all 0 <= n <= nmax at once (exact; same values as
-    count_squares)."""
+    count_squares).  nmax = -1 gives an empty table; lower raises."""
+    if _empty_table(nmax):
+        return np.zeros(0, dtype=np.int64)
     return _count_table(inst, nmax)

@@ -9,12 +9,16 @@ value, the Faddeeva closed form with digamma and Hurwitz-zeta tails
 scipy's Gauss-Legendre nodes for the rules.  scipy is a test dependency
 only; each oracle imports it when called.  ``eta_power`` is the dict-series
 route to eta powers (pentagonal expansion and repeated ``QSeries``
-squaring) that ``modforms._eta_table`` is held against.
+squaring) that ``modforms._eta_table`` is held against.  ``sigma_table``,
+``twisted8_table`` and ``jacobi_four_square_table`` sieve every n, even ones
+included, by divisor pairs (``_divisor_pair_sum``): the route the odd-part
+sieve and its even lifts in ``polytheta.arith`` are held against.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -168,3 +172,43 @@ def eta_power(argument_multiplier: int, power: int, order: int) -> QSeries:
         if e:
             g = (g * g).truncate(order)
     return out.shift(a * p // 24).truncate(order)
+
+
+def _divisor_pair_sum(w: np.ndarray) -> np.ndarray:
+    """sum_{d|n} w[d] for 0 <= n < len(w) as int64 (index 0 set to 0).
+
+    Each n = d*q with d <= q is visited once from its smaller divisor d <=
+    isqrt(nmax): the first slice adds the cofactor term w[q] for every q >= d,
+    the second the divisor term w[d] for every q > d (q == d is one divisor).
+    """
+    nmax = len(w) - 1
+    out = np.zeros(nmax + 1, dtype=np.int64)
+    for d in range(1, isqrt(max(nmax, 0)) + 1):
+        out[d * d::d] += w[d:nmax // d + 1]
+        out[d * d + d::d] += w[d]
+    return out
+
+
+def sigma_table(nmax: int) -> np.ndarray:
+    """sigma(n) for 0 <= n <= nmax (entry 0 set to 0), every n sieved."""
+    return _divisor_pair_sum(np.arange(nmax + 1, dtype=np.int64))
+
+
+def twisted8_table(nmax: int) -> np.ndarray:
+    """sum_{d|n} (8/d) d for 0 <= n <= nmax, every n sieved."""
+    w = np.arange(nmax + 1, dtype=np.int64)
+    w[::2] = 0
+    w[3::8] *= -1
+    w[5::8] *= -1
+    return _divisor_pair_sum(w)
+
+
+def jacobi_four_square_table(nmax: int) -> np.ndarray:
+    """r_4(n) = 8 sigma(n) - 32 sigma(n/4) (the last term at 4 | n only) for
+    0 <= n <= nmax, with entry 0 set to 1."""
+    sig = sigma_table(nmax)
+    out = 8 * sig
+    idx4 = np.arange(0, nmax + 1, 4)
+    out[idx4] -= 32 * sig[idx4 // 4]
+    out[0] = 1
+    return out

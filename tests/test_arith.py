@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from polytheta import arith
@@ -147,3 +149,48 @@ def test_jacobi_table_entries():
     assert tab[2] == 24
     assert tab[4] == 8 * (1 + 2)  # divisor 4 excluded
     assert tab[12] == 8 * (1 + 2 + 3 + 6)
+
+
+DIVISOR_TABLES = ("sigma_table", "twisted8_table", "jacobi_four_square_table")
+
+
+@pytest.mark.parametrize("name", DIVISOR_TABLES)
+def test_divisor_tables_match_every_n_sieve(name):
+    # the odd-part sieve with its even lifts against the sieve over every n,
+    # at every small size (each parity of nmax, every square boundary) and at
+    # the benchmark's sizes
+    table, oracle = getattr(arith, name), getattr(oracles, name)
+    for nmax in [*range(601), 360001, 480005, 2000001]:
+        got, want = table(nmax), oracle(nmax)
+        assert got.dtype == want.dtype == np.int64, (name, nmax)
+        assert np.array_equal(got, want), (name, nmax)
+
+
+def _peak_over_output(build, nmax):
+    tracemalloc.start()
+    try:
+        out = build(nmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+def test_divisor_tables_peak_memory():
+    # the table plus one half-length array of odd entries (1.5x); sieving
+    # every n holds the weights and the table at once (2.0x), which the
+    # bound rejects
+    bound = 1.6
+    for name, nmax in (("sigma_table", 360001), ("twisted8_table", 480005)):
+        assert _peak_over_output(getattr(arith, name), nmax) <= bound, name
+        assert _peak_over_output(getattr(oracles, name), nmax) > bound, name
+
+
+@pytest.mark.parametrize("name", [*DIVISOR_TABLES, "phi_table"])
+def test_tables_size_rule(name):
+    table = getattr(arith, name)
+    empty = table(-1)
+    assert empty.dtype == np.int64 and empty.size == 0
+    for nmax in (-2, -5):
+        with pytest.raises(ValueError, match=f"nmax={nmax}"):
+            table(nmax)

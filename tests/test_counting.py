@@ -252,6 +252,20 @@ def test_table_edge_cases_match_per_index_counters(inst, dom, nmax):
     assert_table_matches_counters(inst, nmax, dom)
 
 
+@pytest.mark.parametrize("build", [
+    lambda nmax: squares_count_table(CongruenceInstance(1, 2, (1, 1, 1, 1)), nmax),
+    lambda nmax: polygonal_count_table(PolygonalInstance(m=6, alpha=(1, 1, 1, 1)),
+                                       nmax, NON_NEGATIVE),
+], ids=["squares_count_table", "polygonal_count_table"])
+def test_tables_size_rule(build):
+    # the size rule of the arith tables: nmax = -1 is empty, lower names nmax
+    empty = build(-1)
+    assert empty.dtype == np.int64 and empty.size == 0
+    for nmax in (-2, -5):
+        with pytest.raises(ValueError, match=f"nmax={nmax}"):
+            build(nmax)
+
+
 def test_table_pair_stage_in_blocks_of_one_sum(monkeypatch):
     # a block of one row per bincount: many blocks must add up to the counts
     from polytheta import counting

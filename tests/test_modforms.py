@@ -178,6 +178,18 @@ def test_main_term_table_matches_per_index_main_terms():
                    for n in sample), fam
 
 
+@pytest.mark.parametrize("nmax", [0, 1, 2, 300, 100_000])
+def test_main_term_table_matches_full_table_slices(nmax):
+    # the odd sieve read at 2n+1, 6n+1 and 8n+5 against those entries of the
+    # tables over every n
+    assert np.array_equal(main_term_table("hexagonal", nmax),
+                          oracles.sigma_table(2 * nmax + 1)[1::2].astype(float) / 16.0)
+    assert np.array_equal(main_term_table("pentagonal", nmax),
+                          oracles.sigma_table(6 * nmax + 1)[1::6].astype(float) / 24.0)
+    assert np.array_equal(main_term_table("hexagonal2", nmax),
+                          -oracles.twisted8_table(8 * nmax + 5)[5::8].astype(float) / 64.0)
+
+
 def test_twisted_main_term_positive_via_phi():
     # positivity of the twisted divisor sum main term, against the totient
     phi = phi_table(8 * 10_000 + 5)
