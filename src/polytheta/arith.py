@@ -235,14 +235,22 @@ def sigma_table(nmax: int) -> np.ndarray:
 
 
 def phi_table(nmax: int) -> np.ndarray:
-    """Euler phi(n) for 0 <= n <= nmax as int64 (index 0 set to 0)."""
+    """Euler phi(n) for 0 <= n <= nmax as int64 (index 0 set to 0): one
+    strided step per prime p <= isqrt(nmax), whose powers leave ``rest`` 1 or
+    the one prime factor of n above isqrt(nmax), applied in one last step."""
     if _empty_table(nmax):
         return np.zeros(0, dtype=np.int64)
     phi = np.arange(nmax + 1, dtype=np.int64)
-    phi[0] = 0
-    for p in range(2, nmax + 1):
-        if phi[p] == p:  # p prime (untouched so far)
+    rest = phi.copy()
+    for p in range(2, isqrt(nmax) + 1):
+        if rest[p] == p:  # p prime: no smaller prime divides it
             phi[p::p] -= phi[p::p] // p
+            pk = p
+            while pk <= nmax:
+                rest[pk::pk] //= p
+                pk *= p
+    big = np.flatnonzero(rest > 1)
+    phi[big] -= phi[big] // rest[big]
     return phi
 
 

@@ -18,8 +18,11 @@ kinds of count, in two evaluation styles:
   meet in the middle as well: the pair sums of the two coordinates with the
   most class values are counted into an int64 table by ``np.bincount``, and
   each value of the other two coordinates is one shifted add of that table
-  -- exact, and fast enough for sweeps to 10^6.  A polygonal table reads its
-  image's squares on the stride 8(m-2), so it stays nmax + 1 entries long.
+  in the sparse product kernel ``_sparse_product`` -- exact, and fast enough
+  for sweeps to 10^6.  A polygonal table reads its image's squares on the
+  stride 8(m-2), so it stays nmax + 1 entries long.  The same kernel, through
+  ``_lattice_product``, multiplies the theta factors of ``series`` and the
+  eta products of ``modforms``.
 
 All counts are plain Python ints / int64 arrays; both styles guard against
 int64 overflow explicitly.
@@ -27,7 +30,7 @@ int64 overflow explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -262,8 +265,8 @@ def _count_table(inst: CongruenceInstance, nmax: int, stride: int = 1,
     polygonal count is (m-4)^2 at ell = 0).  The two coordinates with the
     most values meet in the middle: their pair sums <= nmax are built in
     row blocks of about _SEARCH_BLOCK sums and counted by ``np.bincount``.
-    Each of the other two coordinates is then one shift-add stage, one
-    shifted add of the running table per value, so x and -x in one class
+    Each of the other two coordinates is then one ``_sparse_product`` stage,
+    one shifted add of the running table per value, so x and -x in one class
     shift it twice.  Entries are non-negative, so a stage's maximum is at
     most the running maximum times its number of values; that bound is
     checked before the stage, and the table is refused before any int64
@@ -287,11 +290,55 @@ def _count_table(inst: CongruenceInstance, nmax: int, stride: int = 1,
                 "batch count exceeds the checked 64-bit range; "
                 "reduce nmax or count per index with exact big ints"
             )
-        new = np.zeros(nmax + 1, dtype=np.int64)
-        for e in vals.tolist():
-            new[e:] += acc[:nmax + 1 - e]
-        acc = new
+        acc = _sparse_product([[(e, 1) for e in vals.tolist()]], nmax + 1, acc)
     return acc
+
+
+def _sparse_product(factors: list[list[tuple[int, int]]], n: int,
+                    table: np.ndarray | None = None) -> np.ndarray:
+    """The first n coefficients of ``table`` (default 1) times the sparse
+    series sum c q^e of each factor's (e, c) terms: one stage per factor, one
+    shifted add of the running table per term.  int64 while max |table| times
+    the product of the factors' sums of |c| below n (a bound on every entry
+    and partial sum) stays within _INT64_GUARD, Python ints past it."""
+    table = np.ones(1, dtype=np.int64) if table is None else table
+    bound = prod(sum(abs(c) for e, c in terms if e < n) for terms in factors)
+    bound *= int(max(table.max(initial=0), -table.min(initial=0)))
+    dtype = np.int64 if bound <= _INT64_GUARD else object
+    table = table.astype(dtype, copy=False)
+    for terms in factors:
+        out = np.zeros(n, dtype=dtype)
+        for e, c in terms:
+            if e < n:  # the first n - e entries of the table land below n
+                part = table[:n - e]
+                out[e:e + part.size] += part if c == 1 else c * part
+        table = out
+    return table
+
+
+def _lattice_product(factors: list[list[tuple[int, int]]], start: int,
+                     stop: int, shift: int = 0, unit: int = 1) -> np.ndarray:
+    """Coefficients of the product of the factors' (e, c) terms at the
+    exponents e = shift + unit * w, start <= w < stop, as an integer array.
+    ``_sparse_product`` runs on the offsets from each factor's lowest exponent
+    divided by their gcd, the one sublattice that carries the product; a
+    product exponent off shift + unit * Z raises ``ValueError``."""
+    if not all(factors):  # an empty factor: the product is 0
+        return np.zeros(max(stop - start, 0), dtype=np.int64)
+    lows = [min(e for e, _ in f) for f in factors]
+    g = gcd(*(e - v for f, v in zip(factors, lows) for e, _ in f))
+    low, rem = divmod(sum(lows) - shift, unit)
+    if rem or g % unit:
+        raise ValueError(f"prefactor failed to cancel: exponents {sum(lows) - shift}"
+                         f"/{unit} + {g}/{unit} k are not all integers")
+    step = g // unit or 1
+    table = _sparse_product([[((e - v) // (step * unit), c) for e, c in f]
+                             for f, v in zip(factors, lows)],
+                            max(0, -(-(stop - low) // step)))
+    k0 = max(0, -(-(start - low) // step))  # first k with low + step k >= start
+    out = np.zeros(max(stop - start, 0), dtype=table.dtype)
+    out[low + step * k0 - start::step] = table[k0:]
+    return out
 
 
 def polygonal_count_table(inst: PolygonalInstance, nmax: int,

@@ -1,8 +1,8 @@
 """Integer-exponent q-expansions as integer arrays indexed by exponent: eta
-powers from one sparse product kernel, the weight-two Eisenstein identity of
-the 1 (mod 6) divisor-sum progression, and the exact split of the
-unrestricted-count generating series into an Eisenstein progression plus an
-eta-power cusp expansion.
+powers from the sparse product kernel of ``counting``, the weight-two
+Eisenstein identity of the 1 (mod 6) divisor-sum progression, and the exact
+split of the unrestricted-count generating series into an Eisenstein
+progression plus an eta-power cusp expansion.
 
 An array t stands for sum_{w < order} t[w] q^w; only ``eta_power`` returns a
 ``QSeries``.
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import divisor_sigma, kronecker, sigma_table, twisted_divisor_sum_8
-from .counting import _INT64_GUARD, CongruenceInstance, squares_count_table
+from .counting import CongruenceInstance, _lattice_product, squares_count_table
 from .qseries import QSeries
 
 __all__ = [
@@ -37,32 +37,18 @@ def _eta_table(a: int, p: int, order: int) -> np.ndarray:
     """Coefficients of eta(a tau)^p = q^(a p/24) prod_{n>=1} (1 - q^(a n))^p
     at q^w, w < order, for 24 | a p.
 
-    The product is P(q^a) with P(x) = prod (1 - x^n)^p, the product of p // 3
-    of Jacobi's cubes sum_{k>=0} (-1)^k (2k+1) x^(k(k+1)/2) and p % 3 of
-    Euler's series sum_j (-1)^j x^(j(3j-1)/2) (Hardy & Wright, ch. XIX); each
-    factor is one shifted add of the running table per term.  The table is
-    int64 while the product of the factors' sums of |coefficient| stays
-    below the counting guard (no entry or partial sum can pass it), else
-    Python ints.
+    prod (1 - q^(a n))^p is the product of p // 3 of Jacobi's cubes
+    sum_{k>=0} (-1)^k (2k+1) q^(a k(k+1)/2) and p % 3 of Euler's series
+    sum_j (-1)^j q^(a j(3j-1)/2) (Hardy & Wright, ch. XIX), multiplied by
+    ``counting._lattice_product`` on the lattice a Z (int64 below the
+    counting guard, Python ints past it).
     """
     shift = a * p // 24
     n = max(0, -(-(order - shift) // a))  # exponents of x = q^a below order
     ks = range(-math.isqrt(2 * n) - 1, math.isqrt(2 * n) + 2)
-    cube = [(k * (k + 1) // 2, (-1) ** (k % 2) * (2 * k + 1)) for k in ks if k >= 0]
-    euler = [(k * (3 * k - 1) // 2, (-1) ** (k % 2)) for k in ks]
-    factors = [[(e, c) for e, c in f if e < n]
-               for f in [cube] * (p // 3) + [euler] * (p % 3)]
-    bound = math.prod(sum(abs(c) for _, c in f) for f in factors)
-    prod = np.zeros(n, dtype=np.int64 if bound < _INT64_GUARD else object)
-    prod[:1] = 1
-    for terms in factors:
-        out = np.zeros_like(prod)
-        for e, c in terms:
-            out[e:] += c * prod[:n - e]
-        prod = out
-    table = np.zeros(order, dtype=prod.dtype)
-    table[shift::a] = prod
-    return table
+    cube = [(a * k * (k + 1) // 2, (-1) ** (k % 2) * (2 * k + 1)) for k in ks if k >= 0]
+    euler = [(a * k * (3 * k - 1) // 2, (-1) ** (k % 2)) for k in ks]
+    return _lattice_product([cube] * (p // 3) + [euler] * (p % 3), 0, order, -shift)
 
 
 def eta_power(argument_multiplier: int, power: int, order: int) -> QSeries:
@@ -115,7 +101,7 @@ def verify_theta_split(order: int = 200) -> ThetaSplitReport:
     count of x = 5 (mod 6), weights (1,1,1,1), at w equals
     (2/3) [progression series at w/4] + (1/3) [eta(24 tau)^4 at w].
 
-    Counts come from the brute-force convolution table, so both sides are
+    Counts come from the meet-in-the-middle count table, so both sides are
     independent integer computations; the comparison is 3*s = 2*e + c on
     integer arrays, and ``first_mismatch`` is the first w where it fails.
     """

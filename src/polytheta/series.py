@@ -15,17 +15,22 @@ Conventions (q-exponents, all exact rationals):
   integer-exponent (possibly Laurent) series.
 
 An optional ``scale`` multiplies the argument tau, i.e. rescales exponents.
+
+The identity checks and ``f_J_series`` multiply the factors' (lattice index,
+coefficient) terms on integer arrays with ``counting._lattice_product``;
+``QSeries`` is only the exact container the constructors return.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
 from .counting import (ALL_INTEGERS, POSITIVE, CongruenceInstance,
-                       PolygonalInstance, count_polygonal, polygonal_count_table,
-                       squares_count_table)
+                       PolygonalInstance, _lattice_product, count_polygonal,
+                       polygonal_count_table, squares_count_table)
 from .qseries import QSeries, Rational, _ceil_index
 
 __all__ = [
@@ -44,25 +49,29 @@ __all__ = [
 FULL_J = frozenset({1, 2, 3, 4})
 
 
-def _class_series(r: int, M: int, truncation: Rational, scale: int,
-                  signed: bool) -> QSeries:
-    """Sum over nu = r (mod m) of sgn(nu)^signed q^(scale nu^2/(2m)), with
-    m = 2M when signed and m = M otherwise, walked outward from the class
-    representative in both directions."""
+def _class_terms(r: int, M: int, scale: int, limit: int,
+                 signed: bool) -> list[tuple[int, int]]:
+    """(scale nu^2, c) for each nu = r (mod m) with scale nu^2 < limit, where
+    m = 2M and c = sgn(nu) when signed, m = M and c = 1 otherwise: one term
+    per nu, so nu and -nu in one class give two terms at one index."""
     if M < 1 or scale < 1:
         raise ValueError(f"need M >= 1 and scale >= 1, got M={M}, scale={scale}")
     m = 2 * M if signed else M
-    r %= m
-    order = _ceil_index(truncation, 2 * m)
+    top = isqrt((limit - 1) // scale) if limit > 0 else -1
+    return [(scale * nu * nu, (nu > 0) - (nu < 0) if signed else 1)
+            for nu in range(-top + (r + top) % m, top + 1, m)]
+
+
+def _class_series(r: int, M: int, truncation: Rational, scale: int,
+                  signed: bool) -> QSeries:
+    """The terms of ``_class_terms`` below the truncation, summed per index,
+    on the lattice 1/(4M) when signed and 1/(2M) otherwise."""
+    D = 4 * M if signed else 2 * M
+    order = _ceil_index(truncation, D)
     terms: dict[int, int] = {}
-    for start, step in ((r, m), (r - m, -m)):
-        nu = start
-        while scale * nu * nu < order:
-            if nu or not signed:
-                idx = scale * nu * nu
-                terms[idx] = terms.get(idx, 0) + (-1 if signed and nu < 0 else 1)
-            nu += step
-    return QSeries(2 * m, order, terms)
+    for idx, c in _class_terms(r, M, scale, order, signed):
+        terms[idx] = terms.get(idx, 0) + c
+    return QSeries(D, order, terms)
 
 
 def theta_series(r: int, M: int, truncation: Rational, scale: int = 1) -> QSeries:
@@ -108,35 +117,48 @@ class IdentityReport:
         return self.ok
 
 
+def _mismatch(lhs: np.ndarray, rhs: np.ndarray, offset: int, unit: int,
+              checked: Fraction) -> IdentityReport:
+    """Report on lhs == rhs, entry i standing at exponent (i + offset) / unit."""
+    bad = np.flatnonzero(lhs != rhs)
+    first = Fraction(int(bad[0]) + offset, unit) if bad.size else None
+    return IdentityReport(first is None, first, checked)
+
+
+def _factors(r: int, M: int, alpha: tuple[int, int, int, int],
+             J: frozenset[int], limit: int) -> list[list[tuple[int, int]]]:
+    """Terms below lattice index ``limit`` of ``theta_series(r, 2M, .,
+    2 alpha_j)`` (j in J) or ``false_theta_series(r, M, ., 2 alpha_j)``
+    (j not in J), j = 1..4: both on the lattice 1/(4M)."""
+    return [_class_terms(r, 2 * M, 2 * a, limit, False) if j in J
+            else _class_terms(r, M, 2 * a, limit, True)
+            for j, a in enumerate(alpha, start=1)]
+
+
 def decomposition_check(r: int, M: int, alpha: tuple[int, int, int, int],
                         n_max: int) -> IdentityReport:
     """Check the sixteen-term split of the one-sided series into theta and
     false-theta products, exactly, for all count indices n <= n_max.
 
-    Left side: the one-sided series for (r, 2M, alpha), read off the int64
-    count table.  Right side: 1/16 times the sum over subsets J of {1,2,3,4}
-    of ``QSeries`` products of theta factors (j in J) and false-theta factors
-    (j not in J), each at argument 2 alpha_j tau.
+    On the lattice 1/(4M): 16 times the one-sided count table for (r, 2M,
+    alpha) at the even indices against the sum over subsets J of {1,2,3,4}
+    of the products of theta factors (j in J) and false-theta factors (j not
+    in J), each at argument 2 alpha_j tau.
     """
     if not (0 < r < 2 * M):
         raise ValueError(f"need 0 < r < 2M, got r={r}, M={M}")
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    truncation = Fraction(n_max + 1, 2 * M)
-    lhs = partial_theta_series(r, 2 * M, alpha, truncation)
-    thetas = [theta_series(r, 2 * M, truncation, scale=2 * a) for a in alpha]
-    falses = [false_theta_series(r, M, truncation, scale=2 * a) for a in alpha]
-    rhs = None
-    for mask in range(16):
-        prod = None
-        for j in range(4):
-            f = thetas[j] if (mask >> j) & 1 else falses[j]
-            prod = f if prod is None else (prod * f).truncate(truncation)
-        rhs = prod if rhs is None else rhs + prod
-    rhs = Fraction(1, 16) * rhs
-    ok, where = lhs.agree(rhs)
-    bound = min(lhs.truncation, rhs.truncation)
-    return IdentityReport(ok, where, bound)
+    limit = 2 * (n_max + 1)
+    lhs = np.zeros(limit, dtype=np.int64)
+    lhs[::2] = 16 * squares_count_table(
+        CongruenceInstance(r, 2 * M, tuple(alpha), lower_bound=1), n_max)
+    # a product's entries are below (limit/2)^2 < 2^58 for any lattice under
+    # 2^30 entries (8 GiB), so the int64 sum of sixteen cannot wrap
+    subsets = ({j + 1 for j in range(4) if mask >> j & 1} for mask in range(16))
+    rhs = sum(_lattice_product(_factors(r, M, alpha, J, limit), 0, limit)
+              for J in subsets)
+    return _mismatch(lhs, rhs, 0, 4 * M, Fraction(n_max + 1, 2 * M))
 
 
 def f_J_series(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -144,29 +166,18 @@ def f_J_series(r: int, M: int, alpha: tuple[int, int, int, int],
     """The J-indexed product series, shifted by q^(-r^2 sum(alpha) / (2M)).
 
     The result is a series in integer powers of q (the prefactor must cancel
-    every fractional exponent; this is asserted).  Exponents may be negative.
-    Coefficients are known for all integer exponents <= n_max.
+    every fractional exponent; this is asserted).  Exponents may be negative,
+    down to -r^2 sum(alpha) / (2M).  Coefficients are known for all integer
+    exponents <= n_max.
     """
     J = frozenset(J)
     if not J <= FULL_J:
         raise ValueError(f"J must be a subset of {{1,2,3,4}}, got {J}")
-    shift = Fraction(r * r * sum(alpha), 2 * M)
-    truncation = Fraction(n_max + 1) + shift
-    prod = None
-    for j, a in enumerate(alpha, start=1):
-        if j in J:
-            f = theta_series(r, 2 * M, truncation, scale=2 * a)
-        else:
-            f = false_theta_series(r, M, truncation, scale=2 * a)
-        prod = f if prod is None else (prod * f).truncate(truncation)
-    out = prod.shift(-shift)
-    for idx in out.coeffs:
-        if idx % out.D:
-            raise ValueError(
-                f"prefactor failed to cancel: exponent {Fraction(idx, out.D)} "
-                "is not an integer"
-            )
-    return out.normalize()
+    s4 = 2 * r * r * sum(alpha)  # the prefactor's exponent on the lattice 1/(4M)
+    start = -(s4 // (4 * M))
+    coeffs = _lattice_product(_factors(r, M, alpha, J, 4 * M * (n_max + 1) + s4),
+                              start, n_max + 1, s4, 4 * M).tolist()
+    return QSeries(1, n_max + 1, {start + i: c for i, c in enumerate(coeffs) if c})
 
 
 def c_coefficient(r: int, M: int, alpha: tuple[int, int, int, int],
@@ -179,22 +190,23 @@ def rplus_generating_check(m: int, alpha: tuple[int, int, int, int],
                            n_max: int) -> IdentityReport:
     """Check that the generating series of the all-coordinates-positive
     polygonal counts equals the shifted one-sided square series at tau/4,
-    exactly for all n <= n_max.
+    exactly for all n <= n_max: the one-sided table of the class m mod
+    2(m-2) holds the positive counts at 8(m-2) n + sum(alpha) (m-4)^2 and
+    vanishes off that progression.
     """
     if m < 5:
         raise ValueError(f"need m >= 5, got {m}")
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     inst = PolygonalInstance(m=m, alpha=tuple(alpha))
-    lhs = QSeries(1, n_max + 1,
-                  {n: count_polygonal(inst, n, POSITIVE) for n in range(n_max + 1)})
-    shift = Fraction(sum(alpha) * (m - 4) ** 2, 8 * (m - 2))
-    truncation = Fraction(n_max + 1) + shift
-    theta_plus = partial_theta_series(m, 2 * (m - 2), tuple(alpha),
-                                      truncation * 4)
-    rhs = theta_plus.substitute(Fraction(1, 4)).shift(-shift)
-    ok, where = lhs.agree(rhs)
-    return IdentityReport(ok, where, min(lhs.truncation, rhs.truncation))
+    stride, offset = 8 * (m - 2), inst.alpha_sum * (m - 4) ** 2
+    table = squares_count_table(
+        CongruenceInstance(m, 2 * (m - 2), tuple(alpha), lower_bound=1),
+        stride * (n_max + 1) + offset - 1)
+    expect = np.zeros_like(table)
+    expect[offset::stride] = [count_polygonal(inst, n, POSITIVE)
+                              for n in range(n_max + 1)]
+    return _mismatch(table, expect, -offset, stride, Fraction(n_max + 1))
 
 
 def index_identity_check(m: int, alpha: tuple[int, int, int, int],
@@ -206,11 +218,9 @@ def index_identity_check(m: int, alpha: tuple[int, int, int, int],
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     inst = PolygonalInstance(m=m, alpha=tuple(alpha))
-    asum = inst.alpha_sum
-    fj = f_J_series(m, m - 2, alpha, FULL_J, 4 * (n_max - asum))
-    table = polygonal_count_table(inst, n_max, ALL_INTEGERS)
-    checked = Fraction(n_max + 1)
-    for n in range(n_max + 1):
-        if fj.coeff(4 * (n - asum)) != int(table[n]):
-            return IdentityReport(False, Fraction(n), checked)
-    return IdentityReport(True, None, checked)
+    asum, unit = inst.alpha_sum, 4 * (m - 2)  # the J-full f_J of (m, m - 2)
+    s4, stop = 2 * m * m * asum, 4 * (n_max - asum) + 1
+    fj = _lattice_product(_factors(m, m - 2, alpha, FULL_J, unit * stop + s4),
+                          -4 * asum, stop, s4, unit)
+    return _mismatch(fj[::4], polygonal_count_table(inst, n_max, ALL_INTEGERS),
+                     0, 1, Fraction(n_max + 1))

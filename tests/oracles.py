@@ -18,13 +18,18 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
 from polytheta.analytic import _PV_CHUNK, PVIntegralParams, _by_node
+from polytheta.counting import (ALL_INTEGERS, POSITIVE, PolygonalInstance,
+                                count_polygonal, polygonal_count_table)
 from polytheta.qseries import QSeries
+from polytheta.series import (FULL_J, IdentityReport, false_theta_series,
+                              partial_theta_series, theta_series)
 
 
 def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None,
@@ -212,3 +217,116 @@ def jacobi_four_square_table(nmax: int) -> np.ndarray:
     out[idx4] -= 32 * sig[idx4 // 4]
     out[0] = 1
     return out
+
+
+def decomposition_check(r: int, M: int, alpha: tuple[int, int, int, int],
+                        n_max: int) -> IdentityReport:
+    """Check the sixteen-term split of the one-sided series into theta and
+    false-theta products, exactly, for all count indices n <= n_max.
+
+    Left side: the one-sided series for (r, 2M, alpha), read off the int64
+    count table.  Right side: 1/16 times the sum over subsets J of {1,2,3,4}
+    of ``QSeries`` products of theta factors (j in J) and false-theta factors
+    (j not in J), each at argument 2 alpha_j tau.
+    """
+    if not (0 < r < 2 * M):
+        raise ValueError(f"need 0 < r < 2M, got r={r}, M={M}")
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    truncation = Fraction(n_max + 1, 2 * M)
+    lhs = partial_theta_series(r, 2 * M, alpha, truncation)
+    thetas = [theta_series(r, 2 * M, truncation, scale=2 * a) for a in alpha]
+    falses = [false_theta_series(r, M, truncation, scale=2 * a) for a in alpha]
+    rhs = None
+    for mask in range(16):
+        prod = None
+        for j in range(4):
+            f = thetas[j] if (mask >> j) & 1 else falses[j]
+            prod = f if prod is None else (prod * f).truncate(truncation)
+        rhs = prod if rhs is None else rhs + prod
+    rhs = Fraction(1, 16) * rhs
+    ok, where = lhs.agree(rhs)
+    bound = min(lhs.truncation, rhs.truncation)
+    return IdentityReport(ok, where, bound)
+
+
+def f_J_series(r: int, M: int, alpha: tuple[int, int, int, int],
+               J: frozenset[int] | set[int], n_max: int) -> QSeries:
+    """The J-indexed product series, shifted by q^(-r^2 sum(alpha) / (2M)).
+
+    The result is a series in integer powers of q (the prefactor must cancel
+    every fractional exponent; this is asserted).  Exponents may be negative.
+    Coefficients are known for all integer exponents <= n_max.
+    """
+    J = frozenset(J)
+    if not J <= FULL_J:
+        raise ValueError(f"J must be a subset of {{1,2,3,4}}, got {J}")
+    shift = Fraction(r * r * sum(alpha), 2 * M)
+    truncation = Fraction(n_max + 1) + shift
+    prod = None
+    for j, a in enumerate(alpha, start=1):
+        if j in J:
+            f = theta_series(r, 2 * M, truncation, scale=2 * a)
+        else:
+            f = false_theta_series(r, M, truncation, scale=2 * a)
+        prod = f if prod is None else (prod * f).truncate(truncation)
+    out = prod.shift(-shift)
+    for idx in out.coeffs:
+        if idx % out.D:
+            raise ValueError(
+                f"prefactor failed to cancel: exponent {Fraction(idx, out.D)} "
+                "is not an integer"
+            )
+    return out.normalize()
+
+
+def rplus_generating_check(m: int, alpha: tuple[int, int, int, int],
+                           n_max: int) -> IdentityReport:
+    """Check that the generating series of the all-coordinates-positive
+    polygonal counts equals the shifted one-sided square series at tau/4,
+    exactly for all n <= n_max.
+    """
+    if m < 5:
+        raise ValueError(f"need m >= 5, got {m}")
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    inst = PolygonalInstance(m=m, alpha=tuple(alpha))
+    lhs = QSeries(1, n_max + 1,
+                  {n: count_polygonal(inst, n, POSITIVE) for n in range(n_max + 1)})
+    shift = Fraction(sum(alpha) * (m - 4) ** 2, 8 * (m - 2))
+    truncation = Fraction(n_max + 1) + shift
+    theta_plus = partial_theta_series(m, 2 * (m - 2), tuple(alpha),
+                                      truncation * 4)
+    rhs = theta_plus.substitute(Fraction(1, 4)).shift(-shift)
+    ok, where = lhs.agree(rhs)
+    return IdentityReport(ok, where, min(lhs.truncation, rhs.truncation))
+
+
+def index_identity_check(m: int, alpha: tuple[int, int, int, int],
+                         n_max: int) -> IdentityReport:
+    """Check that the unrestricted m-gonal counts r*(n) are the coefficients
+    of the J-full product series for (r, M) = (m, m - 2) at the completed-
+    square indices 4 (n - sum(alpha)), exactly for all n <= n_max.
+    """
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    inst = PolygonalInstance(m=m, alpha=tuple(alpha))
+    asum = inst.alpha_sum
+    fj = f_J_series(m, m - 2, alpha, FULL_J, 4 * (n_max - asum))
+    table = polygonal_count_table(inst, n_max, ALL_INTEGERS)
+    checked = Fraction(n_max + 1)
+    for n in range(n_max + 1):
+        if fj.coeff(4 * (n - asum)) != int(table[n]):
+            return IdentityReport(False, Fraction(n), checked)
+    return IdentityReport(True, None, checked)
+
+
+def phi_table(nmax: int) -> np.ndarray:
+    """Euler phi(n) for 0 <= n <= nmax as int64 (index 0 set to 0), one
+    scalar primality test and one strided update per prime p <= nmax."""
+    phi = np.arange(nmax + 1, dtype=np.int64)
+    phi[0] = 0
+    for p in range(2, nmax + 1):
+        if phi[p] == p:  # p prime (untouched so far)
+            phi[p::p] -= phi[p::p] // p
+    return phi

@@ -166,6 +166,17 @@ def test_divisor_tables_match_every_n_sieve(name):
         assert np.array_equal(got, want), (name, nmax)
 
 
+def test_phi_table_matches_every_prime_sieve():
+    # the sieve over primes <= sqrt(nmax) plus one step for the prime above
+    # it, against the strided update for every prime <= nmax, at every small
+    # size (each square boundary, primes and prime squares at the end) and
+    # at sizes where n has a prime factor far above sqrt(nmax)
+    for nmax in [*range(601), 80005, 1000003]:
+        got, want = arith.phi_table(nmax), oracles.phi_table(nmax)
+        assert got.dtype == want.dtype == np.int64, nmax
+        assert np.array_equal(got, want), nmax
+
+
 def _peak_over_output(build, nmax):
     tracemalloc.start()
     try:

@@ -409,3 +409,62 @@ def test_counters_at_scale_match_closed_forms(n):
     squares = CongruenceInstance(r=0, M=1, alpha=(1, 1, 1, 1))
     assert count_squares(squares, n) == 8 * sum(
         d for d in arith.divisors(n) if d % 4)
+
+
+def _dict_product(factors):
+    """Every product of one term per factor, summed by exponent."""
+    out = {0: 1}
+    for terms in factors:
+        step = {}
+        for e0, c0 in out.items():
+            for e, c in terms:
+                step[e0 + e] = step.get(e0 + e, 0) + c0 * c
+        out = step
+    return out
+
+
+terms = st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 3)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=4), st.integers(-10, 30),
+       st.integers(-10, 60), st.integers(-6, 12), st.integers(1, 4),
+       st.integers(1, 3))
+def test_lattice_product_matches_dict_product(factors, start, stop, shift,
+                                              unit, spread):
+    # factors on a common stride (spread) from their own lowest exponents,
+    # read at e = shift + unit * w for start <= w < stop; a nonzero
+    # product term off that lattice must be refused
+    from polytheta.counting import _lattice_product
+
+    factors = [[(spread * e + j, c) for e, c in f] for j, f in enumerate(factors)]
+    full = _dict_product(factors)
+    want = np.zeros(max(stop - start, 0), dtype=np.int64)
+    for e, c in full.items():
+        w, rem = divmod(e - shift, unit)
+        if not rem and start <= w < stop:
+            want[w - start] += c
+    off = any(c and (e - shift) % unit for e, c in full.items())
+    try:
+        got = _lattice_product(factors, start, stop, shift, unit)
+    except ValueError as exc:
+        assert "prefactor failed to cancel" in str(exc)
+        # refused only when some product exponent (maybe with zero
+        # coefficient) is off the lattice
+        assert any((e - shift) % unit for e in full) or off
+        return
+    assert not off
+    assert np.array_equal(got, want)
+
+
+def test_sparse_product_switches_to_python_ints_past_the_guard():
+    # table times (1 + q): the bound is max |table| times the factor's sum of
+    # |c|, 2 * 2^62 here, so the product runs on Python ints and stays exact;
+    # a quarter of the table keeps it in int64
+    from polytheta.counting import _INT64_GUARD, _sparse_product
+
+    table = np.array([_INT64_GUARD, 1, 0], dtype=np.int64)
+    out = _sparse_product([[(0, 1), (1, 1)]], 3, table)
+    assert out.dtype == object and out.tolist() == [2**62, 2**62 + 1, 1]
+    out = _sparse_product([[(0, 1), (1, 1)]], 3, table // 4)
+    assert out.dtype == np.int64 and out.tolist() == [2**60, 2**60, 0]

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from polytheta import series
 from polytheta.counting import (ALL_INTEGERS, CongruenceInstance,
                                 PolygonalInstance, count_polygonal,
                                 count_squares, squares_count_table)
-from polytheta.qseries import QSeries
 from polytheta.series import (FULL_J, c_coefficient, decomposition_check,
                               f_J_series, false_theta_series,
                               partial_theta_series,
@@ -106,17 +107,131 @@ def test_decomposition_check_rejects_edge_r():
         decomposition_check(4, 2, (1, 1, 1, 1), 50)
 
 
-def test_decomposition_detects_mutation():
-    # perturb one coefficient of the left side and expect the first mismatch
-    # to be reported at exactly that exponent
-    r, M, alpha = 1, 2, (1, 1, 1, 1)
-    truncation = Fraction(101, 2 * M)
-    lhs = partial_theta_series(r, 2 * M, alpha, truncation)
-    bad = lhs + QSeries(2 * M, lhs.order, {40: 1})
+def _mutate_terms(monkeypatch, change, scale, signed):
+    # rewrite the (index, coefficient) terms of every factor built with this
+    # scale and sign type, in the series module the array route and the
+    # QSeries oracles both read
+    original = series._class_terms
+
+    def mutated(r, M, sc, limit, sg):
+        terms = original(r, M, sc, limit, sg)
+        if (sc, sg) == (scale, signed):
+            terms = [change(e, c) for e, c in terms]
+        return terms
+
+    monkeypatch.setattr(series, "_class_terms", mutated)
+
+
+def _report(rep):
+    return rep.ok, rep.first_mismatch, rep.checked_truncation
+
+
+def test_decomposition_detects_mutation(monkeypatch):
+    # flip the sign of the weight-2 false-theta term at nu = -3 (class 1 mod
+    # 4): the sixteen products then no longer cancel the x_1 = -3 points,
+    # first at 2*9 + 1 + 1 + 1 = 21 on the lattice 1/4
+    r, M, alpha = 1, 2, (2, 1, 1, 1)
+    assert decomposition_check(r, M, alpha, 100).ok
+    _mutate_terms(monkeypatch, lambda e, c: (e, -c if e == 4 * 9 else c),
+                  scale=4, signed=True)
     rep = decomposition_check(r, M, alpha, 100)
-    assert rep.ok
-    ok, where = bad.agree(lhs)
-    assert not ok and where == Fraction(40, 2 * M)
+    assert _report(rep) == (False, Fraction(21, 4), Fraction(101, 4))
+    assert _report(rep) == _report(oracles.decomposition_check(r, M, alpha, 100))
+    # below the first broken index the split still holds
+    assert decomposition_check(r, M, alpha, 20).ok
+
+
+def test_decomposition_detects_a_changed_count(monkeypatch):
+    # one more one-sided count at index 40 of the lattice 1/(2M) = 1/4
+    original = series.squares_count_table
+
+    def bumped(inst, nmax):
+        table = original(inst, nmax)
+        table[40] += 1
+        return table
+
+    monkeypatch.setattr(series, "squares_count_table", bumped)
+    rep = decomposition_check(1, 2, (1, 1, 1, 1), 100)
+    assert _report(rep) == (False, Fraction(40, 4), Fraction(101, 4))
+    assert _report(rep) == _report(oracles.decomposition_check(1, 2, (1, 1, 1, 1), 100))
+
+
+def test_rplus_detects_mass_off_the_progression(monkeypatch):
+    # one count placed 3 steps past the offset 4 * (6-4)^2 = 16 of the
+    # stride 8 * (6-2) = 32 belongs to no n, and must be reported there
+    original = series.squares_count_table
+
+    def off_progression(inst, nmax):
+        table = original(inst, nmax)
+        table[16 + 3] += 1
+        return table
+
+    assert rplus_generating_check(6, (1, 1, 1, 1), 20).ok
+    monkeypatch.setattr(series, "squares_count_table", off_progression)
+    rep = rplus_generating_check(6, (1, 1, 1, 1), 20)
+    assert _report(rep) == (False, Fraction(3, 32), Fraction(21))
+    assert _report(rep) == _report(oracles.rplus_generating_check(6, (1, 1, 1, 1), 20))
+
+
+def test_f_J_series_detects_a_shifted_factor(monkeypatch):
+    # one factor's exponents moved by one step of the lattice 1/(4M) leave
+    # the prefactor a fractional exponent
+    _mutate_terms(monkeypatch, lambda e, c: (e + 1, c), scale=4, signed=False)
+    for route in (f_J_series, oracles.f_J_series):
+        with pytest.raises(ValueError, match="prefactor failed to cancel"):
+            route(1, 2, (2, 1, 1, 1), FULL_J, 40)
+        # the unmutated false-theta factor of weight 2 leaves it integral
+        route(1, 2, (2, 1, 1, 1), {2, 3, 4}, 40)
+
+
+@pytest.mark.parametrize("alpha", [(1, 1, 1, 1), (2, 1, 1, 1)])
+@pytest.mark.parametrize("r, M", [(1, 2), (5, 6), (6, 4), (7, 5)])
+def test_f_J_series_matches_qseries_oracle(r, M, alpha):
+    # r <= M and r > M (where exponents below zero appear), four J, and
+    # three truncations: the same lattice, order and coefficients
+    for J in (set(), {1}, {1, 2, 3}, FULL_J):
+        for n_max in (0, 37, 2000):
+            got = f_J_series(r, M, alpha, J, n_max)
+            ref = oracles.f_J_series(r, M, alpha, J, n_max)
+            assert (got.D, got.order, got.coeffs) == (ref.D, ref.order, ref.coeffs)
+            assert all(type(c) is int for c in got.coeffs.values())
+
+
+def _reports(route):
+    # the Tier-1 grid of the three identity checks, by one route
+    reps = [route.decomposition_check(r, M, alpha, n) for r, M, alpha, n in (
+        (1, 2, (1, 1, 1, 1), 8000), (5, 6, (1, 1, 1, 1), 120),
+        (5, 3, (2, 1, 1, 1), 120), (5, 4, (1, 1, 1, 1), 500))]
+    reps += [route.rplus_generating_check(m, alpha, n) for m, alpha, n in (
+        (6, (1, 1, 1, 1), 80), (5, (1, 1, 1, 1), 200), (7, (2, 1, 1, 1), 50))]
+    reps += [route.index_identity_check(m, alpha, n) for m, alpha, n in (
+        (5, (1, 1, 1, 1), 200), (6, (1, 1, 1, 1), 200), (7, (2, 1, 1, 2), 120))]
+    return [_report(rep) for rep in reps]
+
+
+def test_identity_reports_match_qseries_oracles(monkeypatch):
+    # ok, first_mismatch and checked_truncation as the QSeries route reports
+    # them: on the Tier-1 grid, then with the weight-1 theta factors' terms at
+    # nu^2 = 25 dropped and one unrestricted count changed
+    reports = _reports(series)
+    assert all(ok for ok, _, _ in reports)
+    assert reports == _reports(oracles)
+    _mutate_terms(monkeypatch, lambda e, c: (e, 0 if e == 2 * 25 else c),
+                  scale=2, signed=False)
+    original = series.polygonal_count_table
+
+    def bumped(inst, nmax, domain):
+        table = original(inst, nmax, domain)
+        table[nmax // 2] += 1
+        return table
+
+    monkeypatch.setattr(series, "polygonal_count_table", bumped)
+    monkeypatch.setattr(oracles, "polygonal_count_table", bumped)
+    reports = _reports(series)
+    # (5, 3, (2,1,1,1)) has no one-sided point below 125 that uses nu = 5
+    assert [ok for ok, _, _ in reports] == [False, False, True, False] + \
+        [True] * 3 + [False] * 3
+    assert reports == _reports(oracles)
 
 
 def test_f_J_series_prefactor_cancels_to_integer_lattice():
