@@ -11,30 +11,26 @@ Conventions shared by everything below:
 * complex square roots are principal (Re sqrt > 0 whenever Re of the
   argument is > 0), which is forced here since Re z > 0.
 
-The theta sums are evaluated in two ways, each by one kernel:
+The theta sums are evaluated in two ways, both on one Gaussian-series
+kernel: ``_gaussian_walk`` advances exp(x nu^2) along nu = a + s j by its
+second-difference recurrence (an exact exponential every ``_RESEED``
+terms, O(entries) memory) and ``_gaussian_sum`` sums it against per-term
+coefficients.  Both take a scalar z or an array of them (a contour level's
+arcs as rows of rule nodes, h and k as (A, 1) integer columns), and reduce
+every rational phase exactly in integers:
 
 * direct summation runs through ``_lattice_sum``, one walk that gives the
   two-sided and the sign-weighted sum together (the two ``*_direct_arc``
-  evaluators each pick one; the contour's direct evaluator takes both for
-  one alpha_j).  It takes a scalar z (as a one-node array) or an array of
-  them (the contour passes a level's arcs as rows of rule nodes, with h
-  and k as integer columns), takes one tail cutoff up front from the
-  smallest decay, reduces the phases of the walk exactly in integers (a
-  terms x arcs table), and advances q^(nu^2) by its second-difference
-  recurrence, two whole-array multiplies a term, in O(entries) memory;
-* the Gauss-sum transformation runs through ``_gauss_factor``, the per-nu
-  factor g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k).  The
-  transformed evaluators sum it over nu; the circle-method nu-decomposition
-  (``circle.i_nu_contributions``) multiplies it across the four coordinates.
-  Off J its nu = 0 entry is the principal-value window sum
-  ``_window_entry``, in the Fourier/residue form of ``_window_sum``: lemma
-  5.8's cotangent completed to an exact sine series, so the window is two
-  Gaussian series mod 2Mk (``_gauss_series``), with no Faddeeva function.
-  Like the direct route it takes a scalar z or the array of one rule's
-  nodes (nodes on the trailing axis of every table): T and the Fourier
-  table are built once per call, every cutoff is taken from the node of
-  smallest decay, and the exponentials run in blocks of at most
-  ``_PV_CHUNK`` entries.
+  evaluators each pick one; the contour's direct evaluator takes both);
+* the Gauss-sum transformation runs on the per-nu factor
+  g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k), summed over
+  nu by the transformed evaluators (``_transformed_sum``) and tabulated for
+  the circle-method nu-decomposition (``_gauss_factor``).  Off J its nu = 0
+  entry is the principal-value window sum ``_window_entry``, in the
+  Fourier/residue form of ``_window_sum``: lemma 5.8's cotangent completed
+  to an exact sine series, so the window is two Gaussian series mod 2Mk,
+  with no Faddeeva function.  Every series stops at each arc's own
+  Gaussian cutoff, so no arc's value depends on the arcs sharing the call.
 
 Two routes to the principal-value integral itself are provided, both on
 the Gauss-Legendre rules of ``_legendre`` (the rules the contour runs) and
@@ -89,13 +85,13 @@ class QuadratureError(RuntimeError):
 
 def resolved_relative_error(a: complex, b: complex,
                             zero_floor: float = 1e-5) -> float:
-    """|a - b| relative to max(|a|, |b|), floored for numerical zeros.
+    """|a - b| relative to max(|a|, |b|, zero_floor).
 
     The theta-type sums vanish identically at some cusps; both evaluation
     routes then cancel O(1) terms down to roundoff and the ratio of two
-    numerical zeros is meaningless.  Values below the floor are compared
-    absolutely against the floor instead (genuine values on the verification
-    grids sit orders of magnitude above it).
+    numerical zeros is meaningless.  The transformation grids pass the sum
+    of the moduli of the terms that cancel (``checks.transformation_pairs``);
+    the default sits far below the genuine values of the grids.
     """
     return abs(a - b) / max(abs(a), abs(b), zero_floor)
 
@@ -154,7 +150,7 @@ def _unit_phase(num, den):
 
 
 # ---------------------------------------------------------------------------
-# direct summation of the defining series
+# the Gaussian-series kernel and direct summation of the defining series
 # ---------------------------------------------------------------------------
 
 def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
@@ -166,40 +162,59 @@ def _gaussian_cutoff(decay: float, tol: float, floor: int) -> int:
     return max(floor, math.isqrt(int(reach)) + 1)
 
 
+# terms of ``_gaussian_walk``'s recurrence from one exact exponential to the
+# next: its roundoff grows like the square of the count
+_RESEED = 24
+
+
+def _gaussian_walk(x: np.ndarray, a, s: int, steps: int):
+    """exp(x nu^2) for nu = a + s j, j = 0..steps-1, in turn, at every entry
+    of the complex array x (Re x < 0), a an int or an integer array that
+    broadcasts against x.  Every ``_RESEED``-th term and its ratio
+    exp(x (2 s nu + s^2)) to the next are exact exponentials; in between,
+    the term is advanced by the ratio and the ratio by exp(2 s^2 x), two
+    whole-array multiplies a term, the same arithmetic for every entry.
+    The array yielded is updated in place by the next step."""
+    lift = np.exp((2 * s * s) * x)
+    for j in range(steps):
+        if j % _RESEED:
+            np.multiply(term, ratio, out=term)
+            np.multiply(ratio, lift, out=ratio)
+        else:
+            nu = a + s * j
+            term = np.exp((nu * nu) * x)
+            ratio = np.exp((2 * s * nu + s * s) * x)
+        yield term
+
+
+def _gaussian_sum(coef: np.ndarray, x: np.ndarray, a, s: int) -> np.ndarray:
+    """The sum over j of coef[j] exp(x (a + s j)^2), added in order of j, on
+    ``_gaussian_walk``; the other axes of coef broadcast against x."""
+    walk = _gaussian_walk(x, a, s, len(coef))
+    acc = coef[0] * next(walk)
+    tmp = np.empty_like(acc)
+    for c, term in zip(coef[1:], walk):
+        acc += np.multiply(c, term, out=tmp)
+    return acc
+
+
 def _lattice_sum(r: int, M: int, scale: int, h, k, z: np.ndarray,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The two-sided sum and the sign-weighted sum over nu = r mod M of
     sgn(nu)^s e(scale nu^2 h/(2 M k)) exp(-2 pi scale nu^2 z/(2 M k)), s = 0
-    and 1, i.e. the exponents nu^2/(2M) at tau = (h + i z)/k with the
-    rational part of every phase reduced exactly in integers, at every entry
-    of a complex array z (Re z > 0, checked) of one or more axes; two arrays
-    of z's shape.  h and k are ints or integer arrays that broadcast against
-    z: a level of the contour passes one arc per row, h and k as (A, 1)
-    columns against the (A, 2m) nodes.
+    and 1 (the exponents nu^2/(2M) at tau = (h + i z)/k), at every entry of
+    a complex array z (Re z > 0, checked); two arrays of z's shape.  h and k
+    are ints or integer arrays that broadcast against z.
 
-    One walk serves both sums: they share every term and differ only in
-    sgn(nu).  It goes outward from the class in both directions at once,
-    |nu| = a + M j for j = 0, 1, ..., with a = r (nu > 0) and a = M - r
-    (nu < 0); for r = 0 the nu = 0 term, 1, is taken apart and the upward
-    direction starts at a = M.  Each direction runs up to and including the
-    first |nu| >= cut, where cut > M is the first nu whose damping is below
-    tol at the smallest decay over all entries (so every entry gets at
-    least its own tail); the cutoff is taken before any term is summed.
-    One cutoff and one walk serve every row: on the order-N arcs
-    z = k (1/N^2 - i Phi), so the exponent is -pi scale nu^2 (1/N^2 - i Phi)/M
-    and its decay pi scale/(M N^2) is the same on every arc; only the exact
-    phase depends on the arc, as a (terms x arcs) table.
-
-    q^(nu^2) = exp(nu^2 x), x = -2 pi scale z/(2 M k), follows its
-    second-difference recurrence along each direction: three exponentials
-    (the first term, the first ratio exp((2 a M + M^2) x) and the lift
-    exp(2 M^2 x)) seed it, and each further term is two whole-array
-    multiplies, so the result of every entry does not depend on how many
-    rows or nodes share the call, and memory is O(entries).  Each direction
-    has its own accumulator in walk order; the sums are then up + down and
-    up - down.  The sign-weighted sums of the classes r and -r are exact
-    negatives of each other, and at r = M/2 the sign-weighted sum is exactly
-    0, because the two directions run the same arithmetic.
+    One walk serves both sums, outward from the class in both directions at
+    once: |nu| = a + M j with a = r (nu > 0) and a = M - r (nu < 0) on a
+    leading axis of ``_gaussian_sum``, whose coefficients are the phases (a
+    terms x arcs table); for r = 0 the nu = 0 term, 1, is taken apart and
+    the upward direction starts at a = M.  Each direction runs through the
+    first |nu| >= cut > M, the first nu whose damping is below tol at the
+    smallest decay of all entries (pi scale/(M N^2) on every order-N arc).
+    The sums are up + down and up - down, so the sign-weighted sums of r
+    and -r are exact negatives and at r = M/2 exactly 0.
     """
     if not np.all(z.real > 0):
         raise ValueError(f"need Re z > 0, got z={z}")
@@ -217,18 +232,7 @@ def _lattice_sum(r: int, M: int, scale: int, h, k, z: np.ndarray,
                    * ((scale * h) % den * (res * res % den) % den))
     # a direction one step shorter than the other gets a zero phase last
     phase = np.where(nu - M < cut, phase, 0)
-    term = np.exp((a * a) * x)
-    ratio = np.exp((2 * M * a + M * M) * x)
-    lift = np.exp((2 * M * M) * x)
-    acc = np.zeros(term.shape, dtype=complex)
-    tmp = np.empty_like(term)
-    for i, ph in enumerate(phase):
-        if i:
-            np.multiply(term, ratio, out=term)
-            np.multiply(ratio, lift, out=ratio)
-        np.multiply(term, ph, out=tmp)
-        np.add(acc, tmp, out=acc)
-    up, down = acc
+    up, down = _gaussian_sum(phase, x, a, M)
     two_sided = up + down
     if r == 0:
         two_sided += 1
@@ -268,81 +272,78 @@ def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
 # transformed evaluation (Gauss-sum expansions valid near the cusp h/k)
 # ---------------------------------------------------------------------------
 
-def _gauss_terms(r: int, M: int, alpha_j: int, h: int, k: int,
-                 d: np.ndarray) -> np.ndarray:
-    """T(d) = e(r d/(2 M k)) G(2 M alpha_j h, 2 r alpha_j h + d; k) for an
-    integer array d, with the phase reduced exactly in integers."""
-    gtab = gauss_sum_table((2 * M * alpha_j * h) % k, k)
-    b0 = 2 * r * alpha_j * h
-    den = 2 * M * k
-    return np.exp((2j * np.pi / den) * ((r * d) % den)) * gtab[(b0 + d) % k]
-
-
-def _by_node(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """v with one trailing unit axis per axis of z, so that it broadcasts
-    against z (the nodes go on the trailing axis)."""
-    return v.reshape(v.shape + (1,) * z.ndim)
-
-
-def _gauss_factor(r: int, M: int, alpha_j: int, h: int, k: int, z,
-                  in_J: bool, nu_max: int) -> np.ndarray:
-    """F(nu) = g(nu) [T(nu) + T(-nu)] on J and g(nu) [T(nu) - T(-nu)] off J,
-    with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max; off J
-    the nu = 0 entry is ``_window_entry``.  z is a complex or a 1-D array of
-    them; the result has nu on its first axis and z's shape after it.
-
-    One coordinate of the expanded arc integrand: the transformed evaluators
-    sum it over nu (halving nu = 0), and the nu-decomposition multiplies it
-    across coordinates.
-    """
-    z = np.asarray(z, dtype=complex)
-    nus = np.arange(nu_max + 1)
-    t = _gauss_terms(r, M, alpha_j, h, k, np.arange(-nu_max, nu_max + 1))
-    plus, minus = t[nu_max:], t[nu_max::-1]
-    g = np.exp(_by_node(nus * nus, z) * (-np.pi / (4 * M * k * alpha_j * z)))
-    f = _by_node(plus + minus if in_J else plus - minus, z) * g
-    if not in_J:
-        f[0] = _window_entry(r, M, alpha_j, h, k, z)
-    return f
-
-
-# entries per (term, node) exponential block of ``_gauss_series``; the block
-# is cut along terms or nodes to at most this many entries
-_PV_CHUNK = 8192
-
 # relative size of the first dropped term of every Gaussian series of the
 # transformed route (its nu-sum and both series of the window)
 _GAUSS_TAIL = 1e-18
 
 
-def _gauss_series(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum over m >= 1 of coef[m mod L] exp(-y m^2), L = len(coef), at every
-    entry of the complex array y (Re y > 0), through the first m whose
-    damping is below ``_GAUSS_TAIL`` at the smallest Re y.  The nodes go in
-    slices of at most ``_PV_CHUNK`` and the terms in chunks, so that every
-    exponential block (terms x nodes) holds at most ``_PV_CHUNK`` entries."""
-    cut = _gaussian_cutoff(float(np.min(y.real)), _GAUSS_TAIL, 1)
-    nodes = y.reshape(-1)
-    total = np.zeros(nodes.shape, dtype=complex)
-    step = min(nodes.size, _PV_CHUNK)
-    per = _PV_CHUNK // step
-    for j in range(0, nodes.size, step):
-        part = nodes[j:j + step]
-        for i in range(1, cut + 1, per):
-            m = np.arange(i, min(i + per, cut + 1))
-            block = (-(m * m).astype(float))[:, None] * part
-            np.exp(block, out=block)
-            block *= coef[m % len(coef), None]
-            total[j:j + step] += block.sum(axis=0)
-    return total.reshape(y.shape)
+def _arc_rows(h, k, z) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """z's shape, then h and k as (A, 1) integer columns and z as the complex
+    (A, nodes) array of their rows, one arc per row: ints h and k are one
+    arc, whatever z's shape.  The transformed route takes either form."""
+    k = np.reshape(k, (-1, 1))
+    return (np.shape(z), np.reshape(h, (-1, 1)), k,
+            np.asarray(z, complex).reshape(len(k), -1))
 
 
-def _window_sum(dT: np.ndarray, M: int, alpha_j: int, k: int,
+def _series_terms(rate: np.ndarray, floor: int, start: int):
+    """The indices j = start, ... of a series in exp(-rate j^2) over the rows
+    of the (A, nodes) array rate, and the (terms, A, 1) mask of each row's
+    terms: through the first j >= floor damped below ``_GAUSS_TAIL`` at the
+    row's slowest node."""
+    decay = rate.real.min(1, keepdims=True)
+    j = np.arange(start, _gaussian_cutoff(float(decay.min()), _GAUSS_TAIL, floor) + 1)
+    # j within a row's own cutoff, max(floor, isqrt(reach) + 1)
+    reach, j3 = np.floor(math.log(1 / _GAUSS_TAIL) / decay), j[:, None, None]
+    return j, (j3 <= floor) | ((j3 - 1) ** 2 <= reach)
+
+
+def _gauss_terms(r: int, M: int, alpha_j: int, h, k,
+                 d: np.ndarray) -> np.ndarray:
+    """T(d) = e(r d/(2 M k)) G(2 M alpha_j h, 2 r alpha_j h + d; k) for an
+    integer array d that broadcasts against h and k, with the phase reduced
+    exactly in integers; ``arith.gauss_sum_table`` of each distinct
+    (2 M alpha_j h mod k, k) is built once and gathered."""
+    a = 2 * M * alpha_j * h % k
+    span = np.max(k) + 1
+    keys, inv = np.unique(k * span + a, return_inverse=True)
+    kk, aa = np.divmod(keys, span)
+    table = np.concatenate(list(map(gauss_sum_table, aa.tolist(), kk.tolist())))
+    first = (np.cumsum(kk) - kk)[inv].reshape(np.shape(a))
+    return (_unit_phase(r * d, 2 * M * k)
+            * table[first + (2 * r * alpha_j * h + d) % k])
+
+
+def _gauss_pair(r: int, M: int, alpha_j: int, h, k, d: np.ndarray,
+                sign: int) -> np.ndarray:
+    """T(d) + sign T(-d) (``_gauss_terms``) for a 1-D integer array d."""
+    t = _gauss_terms(r, M, alpha_j, h, k, np.concatenate([d, -d]))
+    return t[..., :len(d)] + sign * t[..., len(d):]
+
+
+def _gauss_factor(r: int, M: int, alpha_j: int, h, k, z,
+                  in_J: bool, nu_max: int) -> np.ndarray:
+    """F(nu) = g(nu) [T(nu) + T(-nu)] on J and g(nu) [T(nu) - T(-nu)] off J,
+    with g(nu) = exp(-pi nu^2/(4 M k alpha_j z)), for nu = 0..nu_max on the
+    first axis and z's shape after it; off J the nu = 0 entry is
+    ``_window_entry``.  One coordinate of the expanded arc integrand, which
+    the nu-decomposition multiplies across coordinates."""
+    shape, h, k, z = _arc_rows(h, k, z)
+    coef = _gauss_pair(r, M, alpha_j, h, k, np.arange(nu_max + 1),
+                       1 if in_J else -1).T[..., None]
+    g = _gaussian_walk(-np.pi / (4 * M * alpha_j * k * z), 0, 1, nu_max + 1)
+    f = np.array([c * gj for c, gj in zip(coef, g)])
+    if not in_J:
+        f[0] = _window_entry(r, M, alpha_j, h, k, z)
+    return f.reshape((nu_max + 1,) + shape)
+
+
+def _window_sum(dT: np.ndarray, M: int, alpha_j: int, k: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
     """(2i/pi) sum over l = 1..Mk-1 of dT[l] S_l, where S_l is the nu-sum of
-    principal-value integrals at the arguments l + L nu (L = 2Mk) and dT a
-    length-L table that is odd mod L (dT[-l mod L] = -dT[l]); an array of
-    z's shape.
+    principal-value integrals at the arguments l + L nu (L = 2Mk), at the
+    rows z of the column k (``_arc_rows``); each row of dT, over l < W,
+    W >= L, is odd mod its own L: dT[-l mod L] = -dT[l].
 
     Summed over mu = l (mod L), the kernel 1/(x - mu) of the principal
     values is (pi/L) cot(pi (x - l)/L), whose principal value is the sine
@@ -354,72 +355,69 @@ def _window_sum(dT: np.ndarray, M: int, alpha_j: int, k: int,
               + pi i sum_nu sgn(l + L nu) exp(-w (l + L nu)^2).
 
     Lemma 5.8's ``cot_main_term`` is the limit of the first sum as z -> 0.
-    Both sums are Gaussian series mod L: the first with the sine table
-    D(m) = sum_l dT[l] sin(2 pi m l/L), each angle reduced exactly in
-    integers, and the second, over mu = |l + L nu| >= 1, with dT[mu mod L]
-    itself (dT is odd, and dT[0] = dT[Mk] = 0).  No Faddeeva function and
-    no truncated sum over shifted pairs: every series runs to its Gaussian
-    tail (``_gauss_series``).  The m-series decays like
-    exp(-pi alpha_j m^2/(M N^2)) on every order-N arc, the residue series
-    at least like exp(-pi mu^2/(8 M alpha_j)).
+    Both sums are Gaussian series mod L: the first with the sine transform
+    D(m) = sum_l dT[l] sin(2 pi m l/L) = (i/2) FFT(dT)[m] over l < L (an odd
+    table's cosine transform vanishes), one FFT per distinct k; the second,
+    over mu = |l + L nu| >= 1, with dT[mu mod L] itself (dT[0] = dT[Mk] = 0).
+    The m-series decays like exp(-pi alpha_j m^2/(M N^2)) on every order-N
+    arc, the residue series at least like exp(-pi mu^2/(8 M alpha_j)).
     """
-    L = 2 * M * k
-    ells = np.arange(1, M * k)
-    j = np.arange(L)
-    sines = np.sin(2 * np.pi * j / L)[(j[:, None] * ells) % L]
-    # np.einsum (not @) runs its own loops and maps no BLAS buffers
-    D = np.einsum("jl,l->j", sines, dT[ells])
-    fourier = _gauss_series(D, np.pi * alpha_j / (M * k) * z)
-    residues = _gauss_series(dT, np.pi / (4 * M * k * alpha_j * z))
+    y = np.pi * alpha_j / (M * k) * z
+    w = np.pi / (4 * M * alpha_j * k * z)
+    m, keep = _series_terms(y, 1, 1)
+    coef = np.empty(keep.shape, dtype=complex)
+    for kk in np.unique(k).tolist():
+        rows = k[:, 0] == kk
+        D = 0.5j * np.fft.fft(dT[rows, :2 * M * kk])
+        coef[:, rows, 0] = D[:, m % (2 * M * kk)].T
+    fourier = _gaussian_sum(coef * keep, -y, 1, 1)
+    mu, keep = _series_terms(w, 1, 1)
+    coef = np.take_along_axis(dT, mu % (2 * M * k), axis=1).T[..., None]
+    residues = _gaussian_sum(coef * keep, -w, 1, 1)
     # (2i/pi) (-(2 pi/L) sqrt(pi/w)) = -(4i/(Mk)) sqrt(M k alpha_j z) and
     # (2i/pi) (pi i) = -2
-    return ((-4j / (M * k)) * np.sqrt(M * k * alpha_j * z) * fourier
+    return ((-4j / (M * k)) * np.sqrt(M * alpha_j * k * z) * fourier
             - 2 * residues)
 
 
-def _window_entry(r: int, M: int, alpha_j: int, h: int, k: int,
-                  z) -> np.ndarray:
+def _window_entry(r: int, M: int, alpha_j: int, h, k, z) -> np.ndarray:
     """The off-J nu = 0 entry of the factor: 2 (i/pi) sum_l T(l) S_l over
     the window l in [1-Mk, -1] u [1, Mk], where S_l is the nu-sum of
-    principal-value integrals (the factor 2 is the eps-sum at nu = 0); an
-    array of z's shape.
+    principal-value integrals (the factor 2 is the eps-sum at nu = 0).
 
     T is periodic mod L = 2Mk and S_l odd in l, so S_{-l} = -S_l and S_Mk
     = 0 (its arguments Mk (2 Z + 1) are symmetric about 0): the window sum
-    is ``_window_sum`` of the odd table T(l) - T(-l), l = 0..L-1.
+    is ``_window_sum`` of the odd table T(l) - T(-l), l below the largest L.
     """
-    z = np.asarray(z, dtype=complex)
-    L = 2 * M * k
-    t = _gauss_terms(r, M, alpha_j, h, k, np.arange(L))
-    return _window_sum(t - t[-np.arange(L) % L], M, alpha_j, k, z)
+    shape, h, k, z = _arc_rows(h, k, z)
+    dT = _gauss_pair(r, M, alpha_j, h, k, np.arange(2 * M * np.max(k)), -1)
+    return _window_sum(dT, M, alpha_j, k, z).reshape(shape)
 
 
-def _transformed_sum(r: int, M: int, alpha_j: int, h: int, k: int, z,
-                     in_J: bool):
+def _transformed_sum(r: int, M: int, alpha_j: int, h, k, z, in_J: bool):
     """The prefactor e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k alpha_j z)) times
-    the nu-sum of ``_gauss_factor`` (nu = 0 halved), cut where the Gaussian
-    envelope is below ``_GAUSS_TAIL`` at the node of smallest decay (each
-    further term is below that share of the envelope at every node); off J
-    the nu = 0 entry is ``_window_entry``.  A complex z gives a complex, a
-    1-D array of z an array of the same shape."""
-    if math.gcd(h, k) != 1:
-        raise ValueError(f"need gcd(h,k)=1, got h={h}, k={k}")
-    z = np.asarray(z, dtype=complex)
-    pref = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
-        2 * np.sqrt(M * k * alpha_j * z))
-    # the first nu > 8 where |g(nu)| = exp(-Re(pi/(4 M k alpha_j z)) nu^2)
-    # is below the tail share at every node
-    decay = float(np.min((np.pi / (4 * M * k * alpha_j * z)).real))
-    f = _gauss_factor(r, M, alpha_j, h, k, z, in_J,
-                      _gaussian_cutoff(decay, _GAUSS_TAIL, 9))
-    out = pref * (f[0] / 2 + f[1:].sum(axis=0))
-    return complex(out) if out.ndim == 0 else out
+    the nu-sum of ``_gauss_factor`` (nu = 0 halved; off J the nu = 0 entry
+    is ``_window_entry``), each row to its own tail; a complex z gives a
+    complex, an array of z (``_arc_rows``) an array of its shape."""
+    shape, h, k, z = _arc_rows(h, k, z)
+    if (np.gcd(h, k) != 1).any():
+        raise ValueError(f"need gcd(h,k)=1, got h={h.ravel()}, k={k.ravel()}")
+    w = np.pi / (4 * M * alpha_j * k * z)
+    nus, keep = _series_terms(w, 9, 0)
+    coef = _gauss_pair(r, M, alpha_j, h, k, nus, 1 if in_J else -1).T[..., None]
+    coef[0] /= 2
+    total = _gaussian_sum(coef * keep, -w, 0, 1)
+    if not in_J:
+        total += _window_entry(r, M, alpha_j, h, k, z) / 2
+    out = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
+        2 * np.sqrt(M * alpha_j * k * z)) * total
+    return complex(out[0, 0]) if shape == () else out.reshape(shape)
 
 
-def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int, z):
+def theta_eval_transformed(r: int, M: int, alpha_j: int, h, k, z):
     """Gauss-sum expansion of the two-sided theta sum for the class r mod 2M,
     at argument 2 alpha_j (h + i z)/k; z is a complex (the value is a
-    complex) or a 1-D array of them (one value each).
+    complex) or an array of them, h and k ints or columns (``_arc_rows``).
 
     Matches theta_eval_direct_arc(r, 2M, 2*alpha_j, h, k, z) up to the Gaussian
     tail cutoff; cost is O(k) Gauss-sum table setup plus a handful of terms.
@@ -427,10 +425,10 @@ def theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int, z):
     return _transformed_sum(r, M, alpha_j, h, k, z, True)
 
 
-def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h: int, k: int,
-                                 z):
+def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h, k, z):
     """Gauss-sum expansion of the sign-weighted theta sum for the class
-    r mod 2M, at argument 2 alpha_j (h + i z)/k; z as for the two-sided sum.
+    r mod 2M, at argument 2 alpha_j (h + i z)/k; z, h and k as for the
+    two-sided sum.
 
     The sign-weighted sum is not modular; the expansion carries, besides the
     theta-like Gauss-sum part, a correction assembled from principal-value
@@ -651,12 +649,11 @@ def nu_sum(ell: int, M: int, alpha_j: int, k: int, z: complex) -> complex:
     """
     if ell == 0 or not 1 - M * k <= ell <= M * k:
         raise ValueError("window indices must lie in [1-Mk, -1] or [1, Mk]")
-    if ell == M * k:
-        return 0j
-    table = np.zeros(2 * M * k, dtype=complex)
-    table[ell], table[-ell] = 1, -1
-    z = np.asarray(z, dtype=complex)
-    return complex(_window_sum(table, M, alpha_j, k, z) * (np.pi / 2j))
+    table = np.zeros((1, 2 * M * k), dtype=complex)
+    table[0, ell] += 1
+    table[0, -ell] -= 1  # the table is 0 at l = Mk
+    S = _window_sum(table, M, alpha_j, np.array([[k]]), np.full((1, 1), complex(z)))
+    return complex(S[0, 0] * (np.pi / 2j))
 
 
 def cot_main_term(ell: int, M: int, alpha_j: int, k: int, z: complex) -> complex:

@@ -28,11 +28,12 @@ _TRANSFORMS = {  # kind: (direct evaluator, its M multiplier, transformed evalua
 
 
 def transformation_pairs(kind: str, k_max: int, N: int):
-    """Yield (r, M, alpha_j, h, k, z, direct, transformed) of lemma 4.1
-    (theta sums) or 4.2 (sign-weighted sums) for each of ``THETA_CONFIGS``
-    on every order-N arc with k <= k_max, at its left end, centre and right
-    end z = k (1/N^2 - i phi), the three direct values from one array call.
-    N is capped at 20."""
+    """Yield (r, M, alpha_j, h, k, z, scale, direct, transformed) of lemma
+    4.1 (theta sums) or 4.2 (sign-weighted sums) for each of
+    ``THETA_CONFIGS`` on every order-N arc with k <= k_max, at its left end,
+    centre and right end z = k (1/N^2 - i phi), each route's three values
+    from one array call; scale is the direct walk's sum of |terms| (its
+    class at h = 0 and Re z, where every phase is 1).  N is capped at 20."""
     direct_eval, m_factor, transformed_eval = _TRANSFORMS[kind]
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -44,9 +45,12 @@ def transformation_pairs(kind: str, k_max: int, N: int):
             h, k = arc.h, arc.k
             zs = analytic._arc_z(k, N, np.array(
                 [-float(arc.theta_left), 0.0, float(arc.theta_right)]))
-            direct = direct_eval(r, m_factor * M, 2 * aj, h, k, zs)
-            for z, d in zip(zs.tolist(), direct):
-                yield r, M, aj, h, k, z, d, transformed_eval(r, M, aj, h, k, z)
+            values = (zs, analytic.theta_eval_direct_arc(
+                r, 2 * M, 2 * aj, 0, k, zs.real).real,
+                direct_eval(r, m_factor * M, 2 * aj, h, k, zs),
+                transformed_eval(r, M, aj, h, k, zs))
+            for row in zip(*(v.tolist() for v in values)):
+                yield (r, M, aj, h, k) + row
 
 
 PV_GRID = [
@@ -252,8 +256,8 @@ def _verify_transformation(p):
     # verify samples k <= 6; the acceptance suite covers k <= 10
     k_max, N = min(p.k_max, 6), min(p.N, 20)
     tol = {"lemma4_1": 1e-8, "lemma4_2": 1e-6}[p.name] if p.tol is None else p.tol
-    worst = max(analytic.resolved_relative_error(d, t)
-                for *_, d, t in transformation_pairs(p.name, k_max, N))
+    worst = max(analytic.resolved_relative_error(d, t, s)
+                for *_, s, d, t in transformation_pairs(p.name, k_max, N))
     return worst <= tol, worst, f"k<={k_max} N={N} tol={tol}"
 
 

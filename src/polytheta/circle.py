@@ -11,9 +11,8 @@ evaluator returns the series values there as an array of z's shape.  The
 direct evaluator (``series_evaluator``) makes one lattice walk per distinct
 alpha_j and call, over all rows at once, which gives both the theta factor
 (j in J) and the sign-weighted factor (j not in J) of that alpha_j; the
-transformed one (``transformed_evaluator``) expands each distinct
-(alpha_j, j in J) factor arc by arc, because its Gauss-sum tables are per
-k.
+transformed one (``transformed_evaluator``) makes one Gauss-sum expansion
+per distinct (alpha_j, j in J) factor and call, over all rows at once.
 
 Both drivers walk the arcs in (k, h) order with m-point Gauss-Legendre rules
 on [-theta_left, 0] and [0, theta_right], split where the integrand peaks
@@ -37,8 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import (_arc_z, _gauss_factor, _lattice_sum, _legendre,
-                       _unit_phase, false_theta_eval_transformed,
-                       theta_eval_transformed)
+                       _transformed_sum, _unit_phase)
 from .arith import gauss_sum_table
 from .farey import _arc_columns, rho_congruence
 from .series import FULL_J
@@ -231,18 +229,15 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
     cusp (theta factors by the modular inversion, sign-weighted factors with
     their principal-value correction, summed to its Gaussian tail as a
     Fourier series and a residue series).  Each distinct (alpha_j, j in J)
-    factor is expanded once per arc of the call, over all of its nodes:
-    the Gauss-sum tables are per k, so the arcs of a level go one by one.
+    factor is one ``_transformed_sum`` per call, over every arc and node of
+    the level, and each arc's value equals its value alone.
 
     ``nu_terms`` is ignored (the window has no shifted-pair truncation); it
     is kept for existing callers and will be deleted (ROADMAP item 8).
     """
     def factors(keys, h, k, z):
-        rows = list(zip(h[:, 0].tolist(), k[:, 0].tolist(), z))
-        return {(a, in_J): np.array([
-            (theta_eval_transformed if in_J else false_theta_eval_transformed)(
-                r, M, a, hi, ki, zi) for hi, ki, zi in rows])
-            for a, in_J in keys}
+        return {(a, in_J): _transformed_sum(r, M, a, h, k, z, in_J)
+                for a, in_J in keys}
 
     return _product_evaluator(r, M, alpha, J, factors)
 
@@ -269,9 +264,9 @@ def _nu_index(keys: list[tuple]) -> np.ndarray:
 def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
                     J: frozenset[int], idx: np.ndarray, n: int) -> np.ndarray:
     """The contributions of the rows of the (count, 4) index array idx, in
-    its order: per arc, one ``_gauss_factor`` table t_c of each distinct
-    (alpha_j, in J) over nu_j = 0..max and all nodes, then for each
-    requested nu_1 = a one contraction over the nodes i of
+    its order: one ``_gauss_factor`` table t_c of each distinct
+    (alpha_j, in J) over nu_j = 0..max and all arcs and nodes, then per arc
+    and requested nu_1 = a one contraction over the nodes i of
     base_i t1[a, i] t2[nu_2, i] (t3 t4)[(nu_3, nu_4), i] into every
     (nu_2, nu_3, nu_4) up to the largest entry requested with that nu_1,
     from which the requested entries are gathered."""
@@ -291,16 +286,16 @@ def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
         groups.append((a, rows, size, idx[rows, 1],
                        idx[rows, 2] * size + idx[rows, 3]))
     hs, ks, sides = _arc_walk(N)
-    for h, k, s in zip(hs[:, 0].tolist(), ks[:, 0].tolist(), sides):
-        phi, w = _arc_rule(s, 24)
-        z = _arc_z(k, N, phi)
-        # one (nu, node) table per distinct coordinate over all nodes
-        tables = {c: _gauss_factor(r, M, c[0], h, k, z, c[1], width - 1)
-                  for c in set(coords)}
-        t1, t2, t3, t4 = (tables[c] for c in coords)
+    phi, w = _arc_rule(sides, 24)
+    z = _arc_z(ks, N, phi)
+    # one (nu, arc, node) table per distinct coordinate, and each arc's base
+    tables = {c: _gauss_factor(r, M, c[0], hs, ks, z, c[1], width - 1)
+              for c in set(coords)}
+    bases = (_unit_phase(-n * hs, ks) * w) * np.exp(
+        2 * np.pi * (n + c_shift) * z / ks) / (ks * ks * z * z)
+    for i, base in enumerate(bases):
+        t1, t2, t3, t4 = (tables[c][:, i] for c in coords)
         t34 = t3[:, None] * t4
-        base = (_unit_phase(-n * h, k) * w) * np.exp(
-            2 * np.pi * (n + c_shift) * z / k) / (k * k * z * z)
         # np.einsum (not @) runs its own loops and maps no BLAS buffers
         for a, rows, size, b, cd in groups:
             block = np.einsum("bi,ci->bc", t2[:size] * (base * t1[a]),

@@ -278,8 +278,8 @@ def cmd_grid(args) -> int:
         try:
             rows = [{"r": r, "M": M, "alpha_j": aj, "h": h, "k": k,
                      "z_re": z.real, "z_im": z.imag,
-                     **_comparison(lhs, rhs, resolved_relative_error(lhs, rhs))}
-                    for r, M, aj, h, k, z, lhs, rhs
+                     **_comparison(lhs, rhs, resolved_relative_error(lhs, rhs, scale))}
+                    for r, M, aj, h, k, z, scale, lhs, rhs
                     in transformation_pairs(args.name, args.k_max, args.N)]
         except ValueError as exc:
             return _bad_input(exc)

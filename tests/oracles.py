@@ -24,12 +24,21 @@ from typing import Sequence
 
 import numpy as np
 
-from polytheta.analytic import _PV_CHUNK, PVIntegralParams, _by_node
+from polytheta.analytic import _GAUSS_TAIL, PVIntegralParams, _gaussian_cutoff
 from polytheta.counting import (ALL_INTEGERS, POSITIVE, PolygonalInstance,
                                 count_polygonal, polygonal_count_table)
 from polytheta.qseries import QSeries
 from polytheta.series import (FULL_J, IdentityReport, false_theta_series,
                               partial_theta_series, theta_series)
+
+# entries per Faddeeva block of ``nu_sum_batch``
+_PV_CHUNK = 8192
+
+
+def _by_node(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v with one trailing unit axis per axis of z, so that it broadcasts
+    against z (the nodes go on the trailing axis)."""
+    return v.reshape(v.shape + (1,) * z.ndim)
 
 
 def complex_quad(f, a: float, b: float, *, points: Sequence[float] | None = None,
@@ -130,6 +139,30 @@ def nu_sum_batch(ells: Sequence[int], M: int, alpha_j: int, k: int, z,
     tail += cubicC / step**3 * _by_node(zeta(3, V1 + x) - zeta(3, V1 - x), z)
     tail += quinticC / step**5 * _by_node(zeta(5, V1 + x) - zeta(5, V1 - x), z)
     return partial + tail
+
+
+def window_sum_by_sines(dT: np.ndarray, M: int, alpha_j: int, k: int,
+                        z: np.ndarray) -> np.ndarray:
+    """``analytic._window_sum`` of one arc (dT a length-2Mk table, odd mod
+    2Mk; z a 1-D array of nodes) with its sine transform from the table of
+    exact angles: D(m) = sum over l = 1..Mk-1 of dT[l] sin(2 pi m l/L),
+    L = 2Mk, each angle 2 pi (m l mod L)/L reduced in integers and the table
+    contracted by np.einsum; and with one exponential per term of both
+    Gaussian series, through the package's cutoffs."""
+    L = 2 * M * k
+    ells = np.arange(1, M * k)
+    j = np.arange(L)
+    sines = np.sin(2 * np.pi * j / L)[(j[:, None] * ells) % L]
+    D = np.einsum("jl,l->j", sines, dT[ells])
+
+    def series(coef, rate):
+        cut = int(_gaussian_cutoff(rate.real.min(), _GAUSS_TAIL, 1))
+        m = np.arange(1, cut + 1)
+        return (coef[m % L, None] * np.exp(-(m * m)[:, None] * rate)).sum(axis=0)
+
+    fourier = series(D, np.pi * alpha_j / (M * k) * z)
+    residues = series(dT, np.pi / (4 * M * k * alpha_j * z))
+    return (-4j / (M * k)) * np.sqrt(M * k * alpha_j * z) * fourier - 2 * residues
 
 
 def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

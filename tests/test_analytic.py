@@ -269,19 +269,63 @@ def _rule_points():
 
 def test_transformed_array_matches_scalar_at_every_node():
     # one array call of _transformed_sum per rule against the public scalar
-    # evaluators node by node (each node's own nu cutoff)
+    # evaluators node by node (each node's own nu cutoff), and one call per
+    # configuration over all of its rules as (A, 1) columns against the
+    # call per rule, bit for bit
     count = 0
-    for r, M, aj, h, k, zs in _rule_points():
-        for fn, in_J in ((an.theta_eval_transformed, True),
-                         (an.false_theta_eval_transformed, False)):
+    points = list(_rule_points())
+    for fn, in_J in ((an.theta_eval_transformed, True),
+                     (an.false_theta_eval_transformed, False)):
+        per_rule = []
+        for r, M, aj, h, k, zs in points:
             got = an._transformed_sum(r, M, aj, h, k, zs, in_J)
             assert got.shape == zs.shape
+            per_rule.append(got)
             for g, z in zip(got.tolist(), zs.tolist()):
                 want = fn(r, M, aj, h, k, z)
                 assert isinstance(want, complex)
                 assert abs(g - want) <= 1e-12 * abs(want), (fn.__name__, r, M, h, k, z)
                 count += 1
+        for config in checks.THETA_CONFIGS:
+            rows = [i for i, p in enumerate(points) if p[:3] == config]
+            h, k = (np.array([[points[i][c]] for i in rows]) for c in (3, 4))
+            got = fn(*config, h, k, np.array([points[i][5] for i in rows]))
+            assert got.shape == (len(rows), 64)
+            for g, i in zip(got, rows):
+                assert np.array_equal(g, per_rule[i]), (fn.__name__, points[i][:5])
     assert count >= 2 * 4 * 4 * 64
+
+
+def test_series_terms_cut_each_row_at_its_own_gaussian_cutoff():
+    # each row keeps exactly the terms through _gaussian_cutoff at its own
+    # slowest node, whatever the other rows; decays near the boundary where
+    # the reach is a perfect square included
+    rng = np.random.default_rng(5)
+    log = math.log(1 / an._GAUSS_TAIL)
+    t = rng.integers(1, 3000, size=40)
+    near = log / (t * t + rng.choice([-1e-9, 0.0, 1e-9], size=40) * t * t)
+    for floor, start in ((1, 1), (9, 0)):
+        for rows in (near[:, None] * [1, 2, 3], np.exp(rng.uniform(-11, 4, (40, 3)))):
+            j, keep = an._series_terms(rows * (1 - 0.5j), floor, start)
+            cuts = [an._gaussian_cutoff(d, an._GAUSS_TAIL, floor) for d in rows.min(1)]
+            assert j[0] == start and j[-1] == max(cuts)
+            for a, cut in enumerate(cuts):
+                assert np.array_equal(keep[:, a, 0], j <= cut), (floor, a, cut)
+
+
+def test_transformation_pairs_scale_is_the_sum_of_term_moduli():
+    # the scale of both lemmas' errors: the moduli of the direct walk's
+    # terms, exp(-pi alpha_j nu^2 Re z/(M k)) over nu = r mod 2M, summed here
+    # term by term
+    count = 0
+    for kind in ("lemma4_1", "lemma4_2"):
+        rows = list(checks.transformation_pairs(kind, 4, 8))
+        for r, M, aj, h, k, z, scale, *_ in rows[::5]:
+            want = math.fsum(math.exp(-math.pi * aj * nu * nu * z.real / (M * k))
+                             for nu in range(r - 400 * M, 400 * M, 2 * M))
+            assert abs(scale - want) <= 1e-13 * want, (kind, r, M, h, k, z)
+            count += 1
+    assert count >= 2 * 12
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +655,7 @@ def _wofz_window(r, M, aj, h, k, zs):
     window = an.lattice_window(M * k)
     sums = oracles.nu_sum_batch(window, M, aj, k, zs)
     terms = an._gauss_terms(r, M, aj, h, k, np.array(window))
-    return 2j / np.pi * (an._by_node(terms, zs) * sums).sum(axis=0)
+    return 2j / np.pi * (oracles._by_node(terms, zs) * sums).sum(axis=0)
 
 
 def test_window_entry_matches_faddeeva_window():
@@ -629,12 +673,40 @@ def test_window_entry_matches_faddeeva_window():
                                          float(arc.theta_right)]), 16)
             points.append((r, M, 1, arc.h, arc.k, an._arc_z(arc.k, N, phi)))
     assert len(points) == 4 * 32 + 5 + 4 + 3
+    wants = [_wofz_window(*p) for p in points]
     worst = 0.0
-    for r, M, aj, h, k, zs in points:
-        want = _wofz_window(r, M, aj, h, k, zs)
+    for (r, M, aj, h, k, zs), want in zip(points, wants):
         got = an._window_entry(r, M, aj, h, k, zs)
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    # the same points as (A, 1) columns: one call per (r, M, alpha_j) and
+    # node count
+    groups = {p[:3] + p[5].shape for p in points}
+    for key in groups:
+        rows = [i for i, p in enumerate(points) if p[:3] + p[5].shape == key]
+        h, k = (np.array([[points[i][c]] for i in rows]) for c in (3, 4))
+        got = an._window_entry(*key[:3], h, k, np.array([points[i][5] for i in rows]))
+        want = np.array([wants[i] for i in rows])
+        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    assert len(groups) == 4 + 3
     assert worst <= 1e-12, worst
+
+
+def test_window_sum_matches_exact_angle_sine_table():
+    # the FFT sine transform and the recurrence series of _window_sum
+    # against the exact-angle sine table and one exponential per term
+    # (oracles.window_sum_by_sines), on the odd tables T(l) - T(-l) of arcs
+    # up to k = 63, at the nodes of their 16-point rules
+    worst = 0.0
+    for M, h, k, N in ((2, 1, 3, 4), (6, 10, 63, 63), (4, 13, 40, 45), (12, 2, 5, 7)):
+        L = 2 * M * k
+        t = an._gauss_terms(1, M, 1, h, k, np.arange(L))
+        dT = t - t[-np.arange(L) % L]
+        phi, _ = _arc_rule(np.array([-1 / (k * (k + N)), 1 / (k * (k + N))]), 16)
+        zs = an._arc_z(k, N, phi)
+        got = an._window_sum(dT[None], M, 1, np.array([[k]]), zs[None])[0]
+        want = oracles.window_sum_by_sines(dT, M, 1, k, zs)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-13, worst
 
 
 def test_fourier_nu_sum_tends_to_cot_main_term():
@@ -653,26 +725,13 @@ def test_fourier_nu_sum_tends_to_cot_main_term():
         assert dist[2] < 2e-3, dist
 
 
-def test_window_series_blocks_within_chunk(monkeypatch):
-    # every exponential block of the window's two Gaussian series holds at
-    # most _PV_CHUNK entries, on a 2048-node rule and on more nodes than
-    # _PV_CHUNK; the values equal the calls node by node
-    sizes = []
-    exp = np.exp
-
-    def counted(x, *args, **kwargs):
-        out = exp(x, *args, **kwargs)
-        sizes.append(np.size(out))
-        return out
-
-    for count in (2048, an._PV_CHUNK + 100):
+def test_window_entry_on_many_nodes_equals_each_node():
+    # one call over a 2048-node rule and over 8292 nodes: the values equal
+    # the calls node by node
+    for count in (2048, 8292):
         zs = an._arc_z(5, 11, np.linspace(-0.01, 0.01, count))
         for M in (2, 12):
-            sizes.clear()
-            monkeypatch.setattr(an.np, "exp", counted)
             got = an._window_entry(1, M, 1, 2, 5, zs)
-            monkeypatch.undo()
-            assert sizes and max(sizes) <= an._PV_CHUNK, (count, M, max(sizes))
             for i in (0, count // 2, count - 1):
                 one = an._window_entry(1, M, 1, 2, 5, zs[i])
                 assert abs(got[i] - one) <= 1e-14 * abs(one), (count, M, i)
@@ -713,4 +772,4 @@ def test_nu_sum_batch_chunks_the_faddeeva_array(monkeypatch):
         sizes.clear()
         oracles.nu_sum_batch(an.lattice_window(M * k), M, 1, k, zs)
         assert sum(size for size, _ in sizes) == (2 * M * k - 1) * 49 * zs.size
-        assert all(size <= max(an._PV_CHUNK, per_node) for size, per_node in sizes)
+        assert all(size <= max(oracles._PV_CHUNK, per_node) for size, per_node in sizes)

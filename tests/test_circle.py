@@ -12,7 +12,7 @@ import pytest
 import polytheta
 from polytheta import analytic
 from polytheta.analytic import (_arc_z, _gauss_factor, _lattice_sum,
-                                _legendre, _unit_phase)
+                                _legendre, _transformed_sum, _unit_phase)
 from polytheta.arith import divisor_sigma
 from polytheta.circle import (ContourConfig, _arc_rule, _arc_walk,
                               constant_evaluator, coefficient_by_contour,
@@ -276,6 +276,28 @@ def test_lattice_sum_batched_rows_equal_single_arc_calls():
                         assert np.array_equal(rows[s][i], one[s]), (
                             N, mod, s, hi, ki)
     assert z.shape == (278, 128)
+
+
+def test_transformed_factor_batched_rows_equal_single_arc_calls():
+    # a level's transformed factor, on J and off J, and its Gauss-factor
+    # table give each arc the values of the call for that arc alone, bit for
+    # bit; N = 23 with 64 nodes a side is 172 rows of 128 nodes
+    for N, m in ((11, 16), (23, 64)):
+        h, k, sides = _arc_walk(N)
+        phi, _ = _arc_rule(sides, m)
+        z = _arc_z(k, N, phi)
+        for r, M, a in ((1, 2, 1), (6, 4, 1), (5, 6, 2)):
+            for in_J in (True, False):
+                rows = _transformed_sum(r, M, a, h, k, z, in_J)
+                table = _gauss_factor(r, M, a, h, k, z, in_J, 5)
+                for i, (hi, ki) in enumerate(zip(h[:, 0].tolist(),
+                                                 k[:, 0].tolist())):
+                    one = _transformed_sum(r, M, a, hi, ki, z[i], in_J)
+                    assert np.array_equal(rows[i], one), (N, r, M, in_J, hi, ki)
+                    if i % 8 == 0:
+                        one = _gauss_factor(r, M, a, hi, ki, z[i], in_J, 5)
+                        assert np.array_equal(table[:, i], one), (N, in_J, hi, ki)
+    assert z.shape == (172, 128)
 
 
 def test_arc_walk_columns_equal_exact_arcs():
