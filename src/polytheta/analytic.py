@@ -23,14 +23,15 @@ every rational phase exactly in integers:
   two-sided and the sign-weighted sum together (the two ``*_direct_arc``
   evaluators each pick one; the contour's direct evaluator takes both);
 * the Gauss-sum transformation runs on the per-nu factor
-  g(nu) [T(nu) +- T(-nu)] with T(d) = e(r d/(2Mk)) G(...; k), summed over
-  nu by the transformed evaluators (``_transformed_sum``) and tabulated for
-  the circle-method nu-decomposition (``_gauss_factor``).  Off J its nu = 0
-  entry is the principal-value window sum ``_window_entry``, in the
-  Fourier/residue form of ``_window_sum``: lemma 5.8's cotangent completed
-  to an exact sine series, so the window is two Gaussian series mod 2Mk,
-  with no Faddeeva function.  Every series stops at each arc's own
-  Gaussian cutoff, so no arc's value depends on the arcs sharing the call.
+  g(nu) [T(nu) +- T(-nu)], T(d) = e(r d/(2Mk)) G(...; k), tabulated for the
+  circle-method nu-decomposition (``_gauss_factor``); off J its nu = 0
+  entry is the principal-value window ``_window_entry``: lemma 5.8's
+  cotangent completed to an exact sine series (``_window_sum``), a Fourier
+  and a residue series mod 2Mk, with no Faddeeva function.  The transformed
+  evaluators (``_transformed_sum``) sum one series a factor: on J the
+  nu-sum, off J the Fourier series alone (the residue series cancels the
+  nu-sum).  Every series stops at each arc's own Gaussian cutoff, so no
+  arc's value depends on the arcs sharing the call.
 
 Two routes to the principal-value integral itself are provided, both on
 the Gauss-Legendre rules of ``_legendre`` (the rules the contour runs) and
@@ -273,7 +274,7 @@ def false_theta_eval_direct_arc(r: int, M: int, scale: int, h: int, k: int,
 # ---------------------------------------------------------------------------
 
 # relative size of the first dropped term of every Gaussian series of the
-# transformed route (its nu-sum and both series of the window)
+# transformed route (the on-J nu-sum and both series of the window)
 _GAUSS_TAIL = 1e-18
 
 
@@ -338,12 +339,27 @@ def _gauss_factor(r: int, M: int, alpha_j: int, h, k, z,
     return f.reshape((nu_max + 1,) + shape)
 
 
+def _fourier_series(dT: np.ndarray, M: int, alpha_j: int, k: np.ndarray,
+                    z: np.ndarray) -> np.ndarray:
+    """sum_{m>=1} D(m) exp(-pi alpha_j z m^2/(M k)) at the rows z of the
+    column k (``_arc_rows``), D(m) = sum_{0<l<Mk} dT[l] sin(2 pi m l/L) =
+    (i/2) FFT(dT)[m] over l < L = 2Mk, one FFT per distinct k; each row of
+    dT, over l < W >= L, is odd mod its own L: dT[-l mod L] = -dT[l]."""
+    y = np.pi * alpha_j / (M * k) * z
+    m, keep = _series_terms(y, 1, 1)
+    coef = np.empty(keep.shape, dtype=complex)
+    for kk in np.unique(k).tolist():
+        rows = k[:, 0] == kk
+        D = 0.5j * np.fft.fft(dT[rows, :2 * M * kk])
+        coef[:, rows, 0] = D[:, m % (2 * M * kk)].T
+    return _gaussian_sum(coef * keep, -y, 1, 1)
+
+
 def _window_sum(dT: np.ndarray, M: int, alpha_j: int, k: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
     """(2i/pi) sum over l = 1..Mk-1 of dT[l] S_l, where S_l is the nu-sum of
     principal-value integrals at the arguments l + L nu (L = 2Mk), at the
-    rows z of the column k (``_arc_rows``); each row of dT, over l < W,
-    W >= L, is odd mod its own L: dT[-l mod L] = -dT[l].
+    rows z of the column k, dT as for ``_fourier_series``.
 
     Summed over mu = l (mod L), the kernel 1/(x - mu) of the principal
     values is (pi/L) cot(pi (x - l)/L), whose principal value is the sine
@@ -355,22 +371,11 @@ def _window_sum(dT: np.ndarray, M: int, alpha_j: int, k: np.ndarray,
               + pi i sum_nu sgn(l + L nu) exp(-w (l + L nu)^2).
 
     Lemma 5.8's ``cot_main_term`` is the limit of the first sum as z -> 0.
-    Both sums are Gaussian series mod L: the first with the sine transform
-    D(m) = sum_l dT[l] sin(2 pi m l/L) = (i/2) FFT(dT)[m] over l < L (an odd
-    table's cosine transform vanishes), one FFT per distinct k; the second,
-    over mu = |l + L nu| >= 1, with dT[mu mod L] itself (dT[0] = dT[Mk] = 0).
-    The m-series decays like exp(-pi alpha_j m^2/(M N^2)) on every order-N
-    arc, the residue series at least like exp(-pi mu^2/(8 M alpha_j)).
+    The first is ``_fourier_series``; the second, over mu = |l + L nu| >= 1,
+    has the coefficients dT[mu mod L] (dT[0] = dT[Mk] = 0).
     """
-    y = np.pi * alpha_j / (M * k) * z
+    fourier = _fourier_series(dT, M, alpha_j, k, z)
     w = np.pi / (4 * M * alpha_j * k * z)
-    m, keep = _series_terms(y, 1, 1)
-    coef = np.empty(keep.shape, dtype=complex)
-    for kk in np.unique(k).tolist():
-        rows = k[:, 0] == kk
-        D = 0.5j * np.fft.fft(dT[rows, :2 * M * kk])
-        coef[:, rows, 0] = D[:, m % (2 * M * kk)].T
-    fourier = _gaussian_sum(coef * keep, -y, 1, 1)
     mu, keep = _series_terms(w, 1, 1)
     coef = np.take_along_axis(dT, mu % (2 * M * k), axis=1).T[..., None]
     residues = _gaussian_sum(coef * keep, -w, 1, 1)
@@ -395,22 +400,27 @@ def _window_entry(r: int, M: int, alpha_j: int, h, k, z) -> np.ndarray:
 
 
 def _transformed_sum(r: int, M: int, alpha_j: int, h, k, z, in_J: bool):
-    """The prefactor e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k alpha_j z)) times
-    the nu-sum of ``_gauss_factor`` (nu = 0 halved; off J the nu = 0 entry
-    is ``_window_entry``), each row to its own tail; a complex z gives a
-    complex, an array of z (``_arc_rows``) an array of its shape."""
+    """One factor of the transformed route, one Gaussian series, each row to
+    its own tail; a complex z gives a complex, an array of z (``_arc_rows``)
+    an array of its shape.  On J: e(alpha_j h r^2/(2Mk)) / (2 sqrt(M k
+    alpha_j z)) times the nu-sum of ``_gauss_factor`` (nu = 0 halved).  Off
+    J that nu-sum, of T(nu) - T(-nu) = dT[nu mod 2Mk], cancels the residue
+    series of half ``_window_entry`` identically, and the factor is
+    e(alpha_j h r^2/(2Mk)) (-i/(Mk)) times ``_fourier_series`` of dT."""
     shape, h, k, z = _arc_rows(h, k, z)
     if (np.gcd(h, k) != 1).any():
         raise ValueError(f"need gcd(h,k)=1, got h={h.ravel()}, k={k.ravel()}")
-    w = np.pi / (4 * M * alpha_j * k * z)
-    nus, keep = _series_terms(w, 9, 0)
-    coef = _gauss_pair(r, M, alpha_j, h, k, nus, 1 if in_J else -1).T[..., None]
-    coef[0] /= 2
-    total = _gaussian_sum(coef * keep, -w, 0, 1)
-    if not in_J:
-        total += _window_entry(r, M, alpha_j, h, k, z) / 2
-    out = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
-        2 * np.sqrt(M * alpha_j * k * z)) * total
+    phase = _unit_phase(alpha_j * h * r * r, 2 * M * k)
+    if in_J:
+        w = np.pi / (4 * M * alpha_j * k * z)
+        nus, keep = _series_terms(w, 9, 0)
+        coef = _gauss_pair(r, M, alpha_j, h, k, nus, 1).T[..., None]
+        coef[0] /= 2
+        total = _gaussian_sum(coef * keep, -w, 0, 1)
+        out = phase / (2 * np.sqrt(M * alpha_j * k * z)) * total
+    else:
+        dT = _gauss_pair(r, M, alpha_j, h, k, np.arange(2 * M * np.max(k)), -1)
+        out = phase * (-1j / (M * k)) * _fourier_series(dT, M, alpha_j, k, z)
     return complex(out[0, 0]) if shape == () else out.reshape(shape)
 
 
@@ -418,10 +428,7 @@ def theta_eval_transformed(r: int, M: int, alpha_j: int, h, k, z):
     """Gauss-sum expansion of the two-sided theta sum for the class r mod 2M,
     at argument 2 alpha_j (h + i z)/k; z is a complex (the value is a
     complex) or an array of them, h and k ints or columns (``_arc_rows``).
-
-    Matches theta_eval_direct_arc(r, 2M, 2*alpha_j, h, k, z) up to the Gaussian
-    tail cutoff; cost is O(k) Gauss-sum table setup plus a handful of terms.
-    """
+    It matches theta_eval_direct_arc(r, 2M, 2*alpha_j, h, k, z)."""
     return _transformed_sum(r, M, alpha_j, h, k, z, True)
 
 
@@ -430,12 +437,11 @@ def false_theta_eval_transformed(r: int, M: int, alpha_j: int, h, k, z):
     r mod 2M, at argument 2 alpha_j (h + i z)/k; z, h and k as for the
     two-sided sum.
 
-    The sign-weighted sum is not modular; the expansion carries, besides the
-    theta-like Gauss-sum part, a correction assembled from principal-value
-    integrals (one nu-sum per window index l), which takes the place of the
-    nu = 0 term (``_window_entry``).  The Gauss-sum second argument is
-    2 r alpha_j h + l, matching the quadratic-completion bookkeeping of the
-    full product expansion.
+    The sign-weighted sum is not modular: its expansion is one Fourier
+    series in z, with the sine transform of T(l) - T(-l) over the
+    principal-value window as coefficients (``_transformed_sum``); the
+    Gauss-sum second argument is 2 r alpha_j h + l, matching the
+    quadratic-completion bookkeeping of the full product expansion.
     """
     return _transformed_sum(r, M, alpha_j, h, k, z, False)
 

@@ -226,11 +226,11 @@ def transformed_evaluator(r: int, M: int, alpha: tuple[int, int, int, int],
                           J: frozenset[int] | set[int],
                           nu_terms: int = 24) -> ArcEvaluator:
     """Evaluator of the same product via the Gauss-sum expansions near each
-    cusp (theta factors by the modular inversion, sign-weighted factors with
-    their principal-value correction, summed to its Gaussian tail as a
-    Fourier series and a residue series).  Each distinct (alpha_j, j in J)
-    factor is one ``_transformed_sum`` per call, over every arc and node of
-    the level, and each arc's value equals its value alone.
+    cusp (theta factors by the modular inversion, a nu-sum in 1/z;
+    sign-weighted factors as the Fourier series in z of their
+    principal-value window), each to its Gaussian tail.  Each distinct
+    (alpha_j, j in J) factor is one ``_transformed_sum`` per call, over every
+    arc and node of the level, and each arc's value equals its value alone.
 
     ``nu_terms`` is ignored (the window has no shifted-pair truncation); it
     is kept for existing callers and will be deleted (ROADMAP item 8).

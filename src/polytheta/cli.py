@@ -44,6 +44,14 @@ def _bounded_int(lower: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for a tolerance: a finite float > 0 (nan fails too)."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"need a positive finite tolerance, got {text}")
+    return value
+
+
 def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..")
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--order", type=int, default=200)
     v.add_argument("--N", type=_bounded_int(1), default=200)
     v.add_argument("--k-max", type=int, default=6, dest="k_max")
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", type=_tolerance, default=None)
     v.add_argument("--nmax", type=_bounded_int(0), default=20000)
     v.add_argument("--format", default="table", choices=["table", "csv", "json"])
     v.set_defaults(func=cmd_verify)
@@ -404,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--n", type=_bounded_int(0), required=True)
     k.add_argument("--mode", default="direct", choices=["direct", "transformed"])
     k.add_argument("--series", default="product", choices=["product", "const"])
-    k.add_argument("--tol", type=float, default=1e-9)
-    k.add_argument("--tol-report", type=float, default=1e-4, dest="tol_report")
+    k.add_argument("--tol", type=_tolerance, default=1e-9)
+    k.add_argument("--tol-report", type=_tolerance, default=1e-4, dest="tol_report")
     k.set_defaults(func=cmd_contour)
 
     return p

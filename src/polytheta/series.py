@@ -41,7 +41,6 @@ __all__ = [
     "IdentityReport",
     "decomposition_check",
     "f_J_series",
-    "c_coefficient",
     "rplus_generating_check",
     "index_identity_check",
 ]
@@ -178,12 +177,6 @@ def f_J_series(r: int, M: int, alpha: tuple[int, int, int, int],
     coeffs = _lattice_product(_factors(r, M, alpha, J, 4 * M * (n_max + 1) + s4),
                               start, n_max + 1, s4, 4 * M).tolist()
     return QSeries(1, n_max + 1, {start + i: c for i, c in enumerate(coeffs) if c})
-
-
-def c_coefficient(r: int, M: int, alpha: tuple[int, int, int, int],
-                  J: frozenset[int] | set[int], n: int) -> Fraction:
-    """Coefficient of q^n in the J-indexed product series (n may be negative)."""
-    return f_J_series(r, M, alpha, J, max(n, 0)).coeff(n)
 
 
 def rplus_generating_check(m: int, alpha: tuple[int, int, int, int],

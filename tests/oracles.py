@@ -5,8 +5,10 @@ principal values of lemma 5 as Fourier/residue series, with numpy alone.
 These are the independent routes it is compared with: QUADPACK
 (``scipy.integrate``) for the integrals and the Cauchy-weight principal
 value, the Faddeeva closed form with digamma and Hurwitz-zeta tails
-(``scipy.special``) for the principal values and their nu-sums, and
-scipy's Gauss-Legendre nodes for the rules.  scipy is a test dependency
+(``scipy.special``) for the principal values and their nu-sums,
+scipy's Gauss-Legendre nodes for the rules, and lemma 4.2's three-series
+expansion of the off-J transformed factor
+(``false_theta_transformed_by_window``).  scipy is a test dependency
 only; each oracle imports it when called.  ``eta_power`` is the dict-series
 route to eta powers (pentagonal expansion and repeated ``QSeries``
 squaring) that ``modforms._eta_table`` is held against.  ``sigma_table``,
@@ -24,7 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from polytheta.analytic import _GAUSS_TAIL, PVIntegralParams, _gaussian_cutoff
+from polytheta.analytic import (_GAUSS_TAIL, PVIntegralParams, _arc_rows,
+                                _gauss_pair, _gaussian_cutoff, _gaussian_sum,
+                                _series_terms, _unit_phase, _window_entry)
 from polytheta.counting import (ALL_INTEGERS, POSITIVE, PolygonalInstance,
                                 count_polygonal, polygonal_count_table)
 from polytheta.qseries import QSeries
@@ -163,6 +167,27 @@ def window_sum_by_sines(dT: np.ndarray, M: int, alpha_j: int, k: int,
     fourier = series(D, np.pi * alpha_j / (M * k) * z)
     residues = series(dT, np.pi / (4 * M * k * alpha_j * z))
     return (-4j / (M * k)) * np.sqrt(M * k * alpha_j * z) * fourier - 2 * residues
+
+
+def false_theta_transformed_by_window(r: int, M: int, alpha_j: int, h, k,
+                                      z) -> np.ndarray:
+    """The off-J factor of ``analytic._transformed_sum`` as lemma 4.2
+    expands it: the nu-sum of g(nu) [T(nu) - T(-nu)] (nu = 0 halved, each
+    row to its own tail) plus half the principal-value window
+    ``analytic._window_entry``, times e(alpha_j h r^2/(2Mk)) /
+    (2 sqrt(M k alpha_j z)); h, k and z as for ``_transformed_sum``.  The
+    package sums the window's Fourier series alone, since the nu-sum and
+    the window's residue series cancel identically; this sums all three."""
+    shape, h, k, z = _arc_rows(h, k, z)
+    w = np.pi / (4 * M * alpha_j * k * z)
+    nus, keep = _series_terms(w, 9, 0)
+    coef = _gauss_pair(r, M, alpha_j, h, k, nus, -1).T[..., None]
+    coef[0] /= 2
+    total = _gaussian_sum(coef * keep, -w, 0, 1)
+    total += _window_entry(r, M, alpha_j, h, k, z) / 2
+    out = _unit_phase(alpha_j * h * r * r, 2 * M * k) / (
+        2 * np.sqrt(M * alpha_j * k * z)) * total
+    return out.reshape(shape)
 
 
 def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

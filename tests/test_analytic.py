@@ -296,6 +296,95 @@ def test_transformed_array_matches_scalar_at_every_node():
     assert count >= 2 * 4 * 4 * 64
 
 
+# the criterion-5 configurations and (6, 4, 1), the hexagonal class of the
+# CLI's transformed contour
+_OFF_J_CONFIGS = checks.THETA_CONFIGS + [(6, 4, 1)]
+
+
+def _level(N: int):
+    """h and k as (A, 1) columns and z as the (A, 32) nodes of the 16-point
+    rules on both sides of every order-N arc, as the contour's first rule
+    places them."""
+    level = arcs(N)
+    h, k = (np.array([[getattr(a, c)] for a in level]) for c in ("h", "k"))
+    z = np.array([an._arc_z(a.k, N, _arc_rule(np.array(
+        [-float(a.theta_left), float(a.theta_right)]), 16)[0]) for a in level])
+    return h, k, z
+
+
+def test_off_j_factor_matches_the_window_expansion():
+    # the one Fourier series of _transformed_sum off J against lemma 4.2's
+    # nu-sum plus half window (oracles.false_theta_transformed_by_window),
+    # relative to each arc's largest value: on whole levels N = 2 and 20 as
+    # (A, 1) columns, and on the criterion-5 rule points one rule a call
+    worst = 0.0
+    cases = [(cfg, *_level(N)) for N in (2, 20) for cfg in _OFF_J_CONFIGS]
+    cases += [(p[:3], p[3], p[4], p[5][None]) for p in _rule_points()]
+    for (r, M, aj), h, k, zs in cases:
+        got = an._transformed_sum(r, M, aj, h, k, zs, False)
+        want = oracles.false_theta_transformed_by_window(r, M, aj, h, k, zs)
+        assert got.shape == want.shape == np.shape(zs)
+        err = np.abs(got - want).max(-1) / np.abs(want).max(-1)
+        worst = max(worst, float(err.max()))
+    assert worst <= 1e-13, worst
+
+
+def test_off_j_factor_at_n1_is_no_farther_from_the_direct_walk():
+    # at N = 1 the nu-sum and the residue series are large and cancel; the
+    # Fourier series alone is at least as close to the direct walk
+    h, k, zs = _level(1)
+    for r, M, aj in _OFF_J_CONFIGS:
+        direct = an.false_theta_eval_direct_arc(r, M, 2 * aj, h, k, zs)
+        scale = np.abs(direct).max()
+        new = np.abs(an._transformed_sum(r, M, aj, h, k, zs, False) - direct).max()
+        old = np.abs(oracles.false_theta_transformed_by_window(r, M, aj, h, k, zs)
+                     - direct).max()
+        assert new <= old and new <= 1e-10 * scale, (r, M, aj, new / scale, old / scale)
+
+
+def test_off_j_fourier_coefficients_are_the_direct_phases(monkeypatch):
+    # lemma 4.2 off J term by term: (-i/(Mk)) e(alpha_j h r^2/(2Mk)) D(m),
+    # D the FFT sine transform of the Gauss-sum table T(l) - T(-l), is the
+    # direct walk's coefficient of exp(-pi alpha_j z m^2/(M k)): sgn(nu)
+    # e(alpha_j h m^2/(2Mk)) over nu = +-m = r (mod 2M), zero off +-r
+    calls = []
+    series = an._gaussian_sum
+
+    def spy(coef, x, a, s):
+        calls.append((coef, a, s))
+        return series(coef, x, a, s)
+
+    monkeypatch.setattr(an, "_gaussian_sum", spy)
+    for r, M, aj, h, k in ((1, 2, 1, 1, 3), (5, 4, 1, 3, 7), (3, 4, 2, 2, 5),
+                           (5, 6, 1, 4, 9), (6, 4, 1, 5, 11)):
+        calls.clear()
+        an._transformed_sum(r, M, aj, h, k, arc_z(k, 12, 0.3), False)
+        (coef, a, s), = calls
+        m = a + s * np.arange(len(coef))
+        got = coef[:, 0, 0] * (-1j / (M * k)) * an._unit_phase(aj * h * r * r, 2 * M * k)
+        sign = (m % (2 * M) == r % (2 * M)).astype(int) - (m % (2 * M) == -r % (2 * M))
+        want = sign * an._unit_phase(aj * h * m * m, 2 * M * k)
+        assert len(m) > 2 * M and np.count_nonzero(sign)
+        assert np.max(np.abs(got - want)) <= 1e-13, (r, M, aj, h, k)
+
+
+def test_off_j_transformed_sum_sums_no_window(monkeypatch):
+    # off J the factor is the window's Fourier series alone: neither the
+    # window nor its residue series is evaluated
+    def refuse(*args):
+        raise AssertionError("the off-J factor evaluated the window")
+
+    monkeypatch.setattr(an, "_window_entry", refuse)
+    monkeypatch.setattr(an, "_window_sum", refuse)
+    h, k, zs = _level(2)
+    for r, M, aj in _OFF_J_CONFIGS:
+        assert np.all(np.isfinite(an._transformed_sum(r, M, aj, h, k, zs, False)))
+    assert isinstance(an.false_theta_eval_transformed(5, 4, 1, 3, 7, arc_z(7, 12, 0.3)),
+                      complex)
+    with pytest.raises(AssertionError):
+        an._gauss_factor(5, 4, 1, 3, 7, arc_z(7, 12, 0.3), False, 2)
+
+
 def test_series_terms_cut_each_row_at_its_own_gaussian_cutoff():
     # each row keeps exactly the terms through _gaussian_cutoff at its own
     # slowest node, whatever the other rows; decays near the boundary where

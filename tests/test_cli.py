@@ -139,6 +139,22 @@ def test_count_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.err.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv", [["contour", "--n", "3", "--tol"],
+                                  ["contour", "--n", "3", "--tol-report"],
+                                  ["verify", "lemma4_2", "--tol"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tolerance_that_is_not_positive_and_finite_exits_2(capsys, argv, value):
+    # max(nan, floor) is nan and no arc meets it; inf passes anything; a
+    # tolerance <= 0 fails everything: argparse refuses all of them
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].endswith(
+        f"argument {argv[-1]}: need a positive finite tolerance, got {value}")
+
+
 def test_verify_unknown_name(capsys):
     code = main(["verify", "nope"])
     assert code == 2

@@ -7,9 +7,8 @@ from polytheta import series
 from polytheta.counting import (ALL_INTEGERS, CongruenceInstance,
                                 PolygonalInstance, count_polygonal,
                                 count_squares, squares_count_table)
-from polytheta.series import (FULL_J, c_coefficient, decomposition_check,
-                              f_J_series, false_theta_series,
-                              partial_theta_series,
+from polytheta.series import (FULL_J, decomposition_check, f_J_series,
+                              false_theta_series, partial_theta_series,
                               rplus_generating_check, star_theta_series,
                               theta_series)
 
@@ -273,7 +272,7 @@ def test_c_coefficient_subsets_sum_to_partial_theta():
     total = Fraction(0)
     for mask in range(16):
         J = {j + 1 for j in range(4) if (mask >> j) & 1}
-        total += c_coefficient(r, M, alpha, J, n)
+        total += f_J_series(r, M, alpha, J, n).coeff(n)
     inst = CongruenceInstance(r=r, M=2 * M, alpha=alpha, lower_bound=1)
     tab = squares_count_table(inst, 2 * M * n + 4)
     assert total == 16 * int(tab[2 * M * n + 4])
