@@ -23,13 +23,18 @@ tolerance, stop converging (the evaluator's roundoff floor, once m has a
 few nodes per period of e(-n phi) on the wider side) or reach m = 1024;
 ``quad_error`` sums exp(2 pi n/N^2) times each arc's last difference.  The
 rules are ``analytic._legendre``'s, the ones the lemma-5 integrals run.  The
-nu-decomposition takes m = 24 and contracts its per-arc nu-sum tables over
-the nodes (``_nu_contraction``).
+nu-decomposition takes m = 24 while 4 n theta_max <= 24 (theta_max the
+widest arc side), otherwise the next power of two >= 4 n theta_max
+(``_nu_rule_size``).  Its total is one separable ball sum at each node
+(``reconstruct_by_nu``); the per-nu contributions contract the nu-sum
+tables over the nodes (``_nu_contraction``) only when they are read.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Callable, Sequence
 
@@ -261,6 +266,35 @@ def _nu_index(keys: list[tuple]) -> np.ndarray:
     return idx.astype(np.intp, copy=False)
 
 
+def _nu_rule_size(n: int, sides: np.ndarray) -> int:
+    """Nodes per side of the nu-decomposition's rules: 24 while
+    4 n theta_max <= 24 (theta_max the widest arc side, so every n <= 36),
+    otherwise the next power of two >= 4 n theta_max, the few nodes per
+    period of e(-n phi) that the contour asks of a rule (``stall_m``)."""
+    need = 4 * n * float(abs(sides).max())
+    return 24 if need <= 24 else 1 << (math.ceil(need) - 1).bit_length()
+
+
+def _nu_arcs(r: int, M: int, alpha: tuple[int, int, int, int],
+             J: frozenset[int], n: int):
+    """What every nu-contribution shares: the four coordinates
+    (alpha_j, j in J), the arcs' h and k columns, their (A, 2m) rows of
+    rule nodes z (``_nu_rule_size``) and each node's base, the rule weight
+    times e(-n h/k) exp(2 pi (n + r^2 sum(alpha)/(2M)) z/k)/(k z)^2.
+    ValueError at J = FULL_J, before any of it is built."""
+    if J == FULL_J:
+        raise ValueError("the nu-decomposition needs at least one factor off J")
+    N = max(1, isqrt(n))
+    c_shift = r * r * sum(alpha) / (2.0 * M)
+    hs, ks, sides = _arc_walk(N)
+    phi, w = _arc_rule(sides, _nu_rule_size(n, sides))
+    z = _arc_z(ks, N, phi)
+    bases = (_unit_phase(-n * hs, ks) * w) * np.exp(
+        2 * np.pi * (n + c_shift) * z / ks) / (ks * ks * z * z)
+    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
+    return coords, hs, ks, z, bases
+
+
 def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
                     J: frozenset[int], idx: np.ndarray, n: int) -> np.ndarray:
     """The contributions of the rows of the (count, 4) index array idx, in
@@ -270,12 +304,8 @@ def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
     base_i t1[a, i] t2[nu_2, i] (t3 t4)[(nu_3, nu_4), i] into every
     (nu_2, nu_3, nu_4) up to the largest entry requested with that nu_1,
     from which the requested entries are gathered."""
-    if J == FULL_J:
-        raise ValueError("the nu-decomposition needs at least one factor off J")
-    N = max(1, isqrt(n))
+    coords, hs, ks, z, bases = _nu_arcs(r, M, alpha, J, n)
     acc = np.zeros(len(idx), dtype=complex)
-    c_shift = r * r * sum(alpha) / (2.0 * M)
-    coords = [(a, j in J) for j, a in enumerate(alpha, start=1)]
     width = int(idx.max(initial=0)) + 1
     # per requested nu_1: the positions in acc, the extent of its
     # (nu_2, nu_3, nu_4) cube and the requested entries of its contraction
@@ -285,14 +315,9 @@ def _nu_contraction(r: int, M: int, alpha: tuple[int, int, int, int],
         size = int(idx[rows, 1:].max()) + 1
         groups.append((a, rows, size, idx[rows, 1],
                        idx[rows, 2] * size + idx[rows, 3]))
-    hs, ks, sides = _arc_walk(N)
-    phi, w = _arc_rule(sides, 24)
-    z = _arc_z(ks, N, phi)
-    # one (nu, arc, node) table per distinct coordinate, and each arc's base
+    # one (nu, arc, node) table per distinct coordinate
     tables = {c: _gauss_factor(r, M, c[0], hs, ks, z, c[1], width - 1)
               for c in set(coords)}
-    bases = (_unit_phase(-n * hs, ks) * w) * np.exp(
-        2 * np.pi * (n + c_shift) * z / ks) / (ks * ks * z * z)
     for i, base in enumerate(bases):
         t1, t2, t3, t4 = (tables[c][:, i] for c in coords)
         t34 = t3[:, None] * t4
@@ -309,9 +334,10 @@ def i_nu_contributions(r: int, M: int, alpha: tuple[int, int, int, int],
                        nus: Sequence[tuple[int, int, int, int]],
                        n: int) -> dict[tuple[int, int, int, int], complex]:
     """Arc-sum contributions indexed by nu, sharing quadrature nodes and
-    nu-sum tables across all requested nu (24 nodes per side), contracted
-    over the nodes once per requested nu_1 (``_nu_contraction``).  Every nu
-    must be four non-negative integers (ValueError otherwise)."""
+    nu-sum tables across all requested nu (``_nu_rule_size`` nodes per
+    side: 24 up to n = 36), contracted over the nodes once per requested
+    nu_1 (``_nu_contraction``).  Every nu must be four non-negative integers
+    (ValueError otherwise)."""
     keys = [tuple(nu) for nu in nus]
     acc = _nu_contraction(r, M, alpha, frozenset(J), _nu_index(keys), n)
     return dict(zip(keys, acc.tolist()))
@@ -323,9 +349,10 @@ def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> int:
     Re(1/z)/k >= 1/2 on every arc).
 
     It bounds the tail only, not the roundoff of the kept terms: at N = 1
-    the contributions grow with n and cancel, and at (r, M, J, n) =
-    (1, 2, {1,2,3}, 3) contributions up to 1.1e11 leave 8.2e-6 of roundoff
-    in the sum."""
+    the contributions grow with n and cancel.  At (r, M, J, n) =
+    (1, 2, {1,2,3}, 3) they reach 1.1e11 and ``reconstruct_by_nu`` is off by
+    1.5e-8; at M >= 4 N = 1 is not usable: at (5, 6, {1,2,3}, 3) they reach
+    6.7e29 and the sum is off by about 1e2."""
     N = max(1, isqrt(n))
     amax = max(alpha)
     need = (8.0 * M * amax / math.pi) * (
@@ -333,33 +360,96 @@ def nu_norm_cap_for(n: int, M: int, alpha: tuple[int, int, int, int]) -> int:
     return math.ceil(math.sqrt(max(need, 1.0)))
 
 
-def _nu_ball(cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _nu_ball(cap: int) -> np.ndarray:
     """The nu in {0..cap}^4 with ||nu|| <= cap as a (count, 4) index array,
-    in the C order of the ball's mask (which is itertools.product's order),
-    and their weights 1/2 per vanishing entry."""
+    in the C order of the ball's mask (which is itertools.product's
+    order)."""
     sq = np.arange(cap + 1) ** 2
     ball = np.nonzero((sq[:, None, None] + sq[:, None] + sq)[..., None]
                       <= cap * cap - sq)
-    return np.stack(ball, axis=1), 0.5 ** sum(a == 0 for a in ball)
+    return np.stack(ball, axis=1)
+
+
+class _NuBreakdown(Mapping):
+    """The per-nu contributions over ``_nu_ball(cap)``, keyed by nu in the
+    ball's order: a read-only mapping that runs ``_nu_contraction`` on its
+    first read."""
+
+    def __init__(self, r, M, alpha, J, n, cap):
+        self._args = (r, M, alpha, J, n, cap)
+
+    @cached_property
+    def _items(self) -> dict[tuple[int, int, int, int], complex]:
+        r, M, alpha, J, n, cap = self._args
+        idx = _nu_ball(cap)
+        acc = _nu_contraction(r, M, alpha, J, idx, n)
+        return dict(zip(zip(*idx.T.tolist()), acc.tolist()))
+
+    def __getitem__(self, nu):
+        return self._items[nu]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 def reconstruct_by_nu(r: int, M: int, alpha: tuple[int, int, int, int],
                       J: frozenset[int] | set[int],
-                      n: int) -> tuple[complex, dict]:
+                      n: int) -> tuple[complex, Mapping]:
     """Sum the weighted nu-contributions with ||nu|| <= ``nu_norm_cap_for``,
     the cap that keeps the dropped tail below 1e-6.  The total can be
-    further off than that: at N = 1 (n <= 3) the contributions cancel from
-    up to 1.1e11 (at (1, 2, {1,2,3}, n = 3)), and their roundoff leaves
-    8.2e-6.
+    further off than that at N = 1 (n <= 3), where the contributions
+    cancel: at (1, 2, {1,2,3}, n = 3) from up to 1.1e11, with 1.5e-8 of
+    roundoff left, and at M >= 4 N = 1 is not usable (``nu_norm_cap_for``).
 
     Weights: 1/(16 M^2 prod sqrt(alpha_j)) times 1/2 per vanishing nu_j.
-    Returns (value, per-nu breakdown).
+    The ball sum is separable but for ||nu|| <= cap: with the 1/2 folded
+    into each table's nu = 0 row, the partial sums S[R] of t3 t4 over
+    nu_3^2 + nu_4^2 <= R are cumulative sums over the quarter disk ordered
+    by radius, and the total at each node is the sum of t1 t2 S[cap^2 -
+    nu_1^2 - nu_2^2] over the quarter disk, then summed over the nodes.
+    The arcs go in blocks of about 48 A/(cap + 1) nodes (A arcs), so an
+    array over the quarter disk's pairs holds no more entries than one
+    factor table of the 24-node rule over all arcs.
+
+    Returns (value, per-nu breakdown); the breakdown is a read-only mapping
+    that contracts every nu of the ball (``_nu_contraction``) on its first
+    read.
     """
-    idx, weights = _nu_ball(nu_norm_cap_for(n, M, alpha))
-    acc = _nu_contraction(r, M, alpha, frozenset(J), idx, n)
+    J = frozenset(J)
+    cap = nu_norm_cap_for(n, M, alpha)
+    coords, hs, ks, z, bases = _nu_arcs(r, M, alpha, J, n)
+    # the pairs (a, b) of the quarter disk a^2 + b^2 <= cap^2 by radius, and
+    # for each the position of S[cap^2 - a^2 - b^2] in their cumulative sum
+    sq = np.arange(cap + 1) ** 2
+    pa, pb = np.nonzero(sq[:, None] + sq <= cap * cap)
+    rad = sq[pa] + sq[pb]
+    order = np.argsort(rad, kind="stable")
+    pa, pb, rad = pa[order], pb[order], rad[order]
+    last = np.searchsorted(rad, cap * cap - rad, side="right") - 1
+    step = max(1, 48 * len(ks) // ((cap + 1) * z.shape[1]))
+    total = 0j
+    for s in range(0, len(ks), step):
+        arcs = slice(s, s + step)
+        tables = {c: _gauss_factor(r, M, c[0], hs[arcs], ks[arcs], z[arcs],
+                                   c[1], cap)
+                  for c in set(coords)}
+        for t in tables.values():
+            t[0] *= 0.5
+        t1, t2, t3, t4 = (tables[c] for c in coords)
+        s34 = t3[pa]
+        s34 *= t4[pb]
+        np.cumsum(s34, axis=0, out=s34)
+        s34 = s34[last]
+        t12 = t1[pa]
+        t12 *= t2[pb]
+        # np.einsum (not @) runs its own loops and maps no BLAS buffers
+        per_node = np.einsum("pan,pan->an", t12, s34)
+        total += complex((bases[arcs] * per_node).sum())
     pref = 1.0 / (16.0 * M * M * math.prod(math.sqrt(a) for a in alpha))
-    total = pref * complex((weights * acc).sum())
-    return total, dict(zip(zip(*idx.T.tolist()), acc.tolist()))
+    return pref * total, _NuBreakdown(r, M, alpha, J, n, cap)
 
 
 # ---------------------------------------------------------------------------

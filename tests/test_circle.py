@@ -10,7 +10,7 @@ import oracles
 import pytest
 
 import polytheta
-from polytheta import analytic
+from polytheta import analytic, circle
 from polytheta.analytic import (_arc_z, _gauss_factor, _lattice_sum,
                                 _legendre, _transformed_sum, _unit_phase)
 from polytheta.arith import divisor_sigma
@@ -363,9 +363,17 @@ def test_transformed_contour_mixed_alpha():
         assert abs(res.value - exact) <= 1e-6, (alpha, sorted(J))
 
 
-def test_i_nu_rejects_full_J():
-    with pytest.raises(ValueError):
-        i_nu_contributions(1, 2, (1, 1, 1, 1), FULL_J, [(0, 0, 0, 0)], 4)
+def test_i_nu_rejects_full_J(monkeypatch):
+    # refused before any factor table is built
+    def no_table(*args, **kwargs):
+        raise AssertionError("a factor table was built")
+
+    monkeypatch.setattr(circle, "_gauss_factor", no_table)
+    for call in (lambda: i_nu_contributions(1, 2, (1, 1, 1, 1), FULL_J,
+                                            [(0, 0, 0, 0)], 4),
+                 lambda: reconstruct_by_nu(1, 2, (1, 1, 1, 1), FULL_J, 4)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_i_nu_rejects_malformed_nu_vectors():
@@ -441,6 +449,60 @@ def test_nu_reconstruction_matches_exact_coefficients():
     # the 1e-6 that nu_norm_cap_for promises, at M = 6 where its cap is 20
     val, _ = reconstruct_by_nu(5, 6, alpha, J, 4)
     assert abs(val - float(f_J_series(5, 6, alpha, J, 4).coeff(4))) <= 1e-6
+
+
+def test_nu_reconstruction_rule_follows_n():
+    # the rules take a few nodes per period of e(-n phi) past n = 36; with 24
+    # nodes at every n the first two were off by 5.4e-5 and 160
+    alpha = (1, 1, 1, 1)
+    for r, M, J, n in [(1, 2, frozenset({1, 2, 3}), 100),
+                       (1, 2, frozenset({1, 2, 3}), 400),
+                       (5, 6, frozenset({1, 2}), 100)]:
+        val, _ = reconstruct_by_nu(r, M, alpha, J, n)
+        exact = float(f_J_series(r, M, alpha, J, n).coeff(n))
+        assert abs(val - exact) <= 1e-6, (r, M, n, val)
+
+
+def test_nu_reconstruction_roundoff_at_n1():
+    # at N = 1 the contributions cancel from up to 2.8e19 here; the ball
+    # summed by partial disk sums at each node leaves 5.6e-4 (2.7e2 when
+    # each nu's contribution was summed over the nodes first)
+    alpha, J = (1, 1, 1, 1), frozenset({2})
+    val, _ = reconstruct_by_nu(3, 4, alpha, J, 3)
+    assert abs(val - float(f_J_series(3, 4, alpha, J, 3).coeff(3))) <= 1e-2
+
+
+def test_nu_breakdown_is_contracted_only_when_read(monkeypatch):
+    r, M, alpha, J, n = 1, 2, (1, 1, 1, 1), frozenset({1, 2, 3}), 4
+    want, _ = reconstruct_by_nu(r, M, alpha, J, n)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("contracted")
+
+    monkeypatch.setattr(circle, "_nu_contraction", refuse)
+    val, contrib = reconstruct_by_nu(r, M, alpha, J, n)
+    assert val == want
+    with pytest.raises(RuntimeError):
+        contrib[(0, 0, 0, 0)]
+
+
+def test_nu_breakdown_is_the_contributions_of_its_ball():
+    alpha = (1, 1, 1, 1)
+    for r, M, J, n in [(1, 2, frozenset({1, 2, 3}), 4),
+                       (5, 6, frozenset({1, 2}), 4),
+                       (1, 2, frozenset({1}), 10)]:
+        val, contrib = reconstruct_by_nu(r, M, alpha, J, n)
+        cap = nu_norm_cap_for(n, M, alpha)
+        ball = [nu for nu in itertools.product(range(cap + 1), repeat=4)
+                if sum(c * c for c in nu) <= cap * cap]
+        if n == 4:
+            assert (list(contrib.items())
+                    == list(i_nu_contributions(r, M, alpha, J, ball, n).items()))
+        # the total is the weighted sum of the breakdown, to roundoff
+        pref = 1.0 / (16.0 * M * M)
+        terms = [0.5 ** nu.count(0) * contrib[nu] for nu in ball]
+        assert (abs(val - pref * sum(terms))
+                <= 1e-12 * pref * sum(map(abs, terms))), (r, M, n)
 
 
 def test_i_nu_decay_profile():
